@@ -100,8 +100,9 @@ class SubsystemSpec:
 
 #: The dual-engine builders whose stream parity the repro rests on, plus
 #: the single-engine fault scheduler (extracted for documentation).  The
-#: scalar/vectorized pairs here are exactly the ones the cross-engine
-#: equivalence suites exercise dynamically.
+#: scalar/fast engine pairs here (vectorized, or columnar for the netpool)
+#: are exactly the ones the cross-engine equivalence suites exercise
+#: dynamically.
 SUBSYSTEMS: tuple[SubsystemSpec, ...] = (
     SubsystemSpec(
         name="detection-world",
@@ -145,11 +146,6 @@ SUBSYSTEMS: tuple[SubsystemSpec, ...] = (
         engines={
             "scalar": (_Scope("function", "_generate_scalar",
                               alias="generate"),),
-            # vectorized and columnar both realize _draw_pool_columns —
-            # one code object, so their parity is structural, but both
-            # engines stay in the inventory (and the rendered table).
-            "vectorized": (_Scope("function", "_draw_pool_columns",
-                                  alias="generate"),),
             "columnar": (_Scope("function", "_draw_pool_columns",
                                 alias="generate"),),
         },

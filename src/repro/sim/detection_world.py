@@ -18,7 +18,10 @@ calibration knobs (``DetectionWorldConfig.engine``):
 
 * ``"vectorized"`` (default) realizes each IXP's stochastic content as
   per-IXP array draws in a fixed, documented order — the same
-  struct-of-arrays discipline as :mod:`repro.lg.batch`.  Per IXP the
+  struct-of-arrays discipline as :mod:`repro.lg.batch`.  It reads a
+  columnar network pool (:class:`repro.sim.netpool.ColumnarNetworkPool`)
+  directly: members are selected as pool indices, and only the networks
+  a world attaches are materialized as objects.  Per IXP the
   order is: intersite RTT (multi-site only), direct-member sample,
   short-circuit coins, band draw, per-band member draws (partner seats
   first, then short/intercity/intercountry/intercontinental), interleave
@@ -28,8 +31,9 @@ calibration knobs (``DetectionWorldConfig.engine``):
   coin/amplitude/peak), attachment arrays (far-metro coin, far/near
   tails, site coin, provider pick, partner overhead, PoP relocation),
   LG-bias arrays, stale-target arrays, ASN-change arrays, anchors.
-* ``"scalar"`` replays the seed implementation's per-interface draws and
-  is kept as the reference engine.
+* ``"scalar"`` replays the seed implementation's per-interface draws over
+  an object pool (:class:`repro.sim.netpool.NetworkPool`) and is kept as
+  the reference engine.
 
 Both engines consume the same per-``(seed, "ixp", acronym)`` streams in
 different orders, so they agree in distribution (remote fractions,
@@ -79,6 +83,8 @@ from repro.registry.sources import (
 )
 from repro.sim.clock import CampaignWindow
 from repro.sim.netpool import (
+    SCOPE_CONTINENTS,
+    ColumnarNetworkPool,
     NetworkPool,
     NetworkPoolConfig,
     PooledNetwork,
@@ -121,6 +127,10 @@ _PARTNERSHIPS: dict[str, tuple[tuple[str, str], ...]] = {
 
 #: Remote members per partnership seat.
 _PARTNER_SEATS = 4
+
+#: The network-pool engine each world engine reads: the vectorized
+#: builder works on pool columns, the scalar reference on pool objects.
+_POOL_ENGINES = {"vectorized": "columnar", "scalar": "scalar"}
 
 #: Provider indices member circuits may use; index 1 (``atrato-like``,
 #: the visible-detour provider) is reserved for the validation anchors.
@@ -202,15 +212,20 @@ class DetectionWorldConfig:
     #: Whether to add the named validation anchors (E4A/Invitel analogues).
     with_anchors: bool = True
     #: ``"vectorized"`` (array draws, default) or ``"scalar"`` (reference).
-    #: Governs the builder and — only when ``pool`` is None — the network
-    #: pool generator; an explicit ``pool`` config carries its own
-    #: ``engine`` field (set it to ``"scalar"`` too for a fully scalar
-    #: reference world).
+    #: Governs the builder and the network pool it reads: a ``columnar``
+    #: pool for ``vectorized``, a ``scalar`` one for ``scalar``.  An
+    #: explicit ``pool`` config must name that pool engine.
     engine: str = "vectorized"
 
     def __post_init__(self) -> None:
-        if self.engine not in ("vectorized", "scalar"):
+        if self.engine not in _POOL_ENGINES:
             raise ConfigurationError(f"unknown world engine {self.engine!r}")
+        wanted = _POOL_ENGINES[self.engine]
+        if self.pool is not None and self.pool.engine != wanted:
+            raise ConfigurationError(
+                f"the {self.engine} world engine reads a {wanted!r} network "
+                f"pool, not {self.pool.engine!r}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,7 +247,7 @@ class DetectionWorld:
     """Everything the Section 3 campaign consumes, plus ground truth."""
 
     city_db: CityDB
-    pool: NetworkPool
+    pool: NetworkPool | ColumnarNetworkPool
     window: CampaignWindow
     ixps: dict[str, IXP]
     lg_servers: dict[str, list[LookingGlassServer]]
@@ -289,8 +304,7 @@ def build_detection_world(
     city_db = default_city_db()
     matrix = CityDistanceMatrix.build(city_db)
     pool_config = config.pool or NetworkPoolConfig(
-        seed=config.seed,
-        engine="scalar" if config.engine == "scalar" else "vectorized",
+        seed=config.seed, engine=_POOL_ENGINES[config.engine]
     )
     pool = generate_network_pool(city_db, pool_config)
     directory = IXPDirectory()
@@ -358,7 +372,7 @@ class _WorldBuilder:
         specs: tuple[IXPSpec, ...],
         city_db: CityDB,
         matrix: CityDistanceMatrix,
-        pool: NetworkPool,
+        pool: NetworkPool | ColumnarNetworkPool,
         directory: IXPDirectory,
         providers: list[RemotePeeringProvider],
     ) -> None:
@@ -992,25 +1006,41 @@ class _VectorWorldBuilder(_WorldBuilder):
 
     All randomness for one IXP is realized up front as numpy arrays; the
     remaining per-interface loop only constructs devices, ports and truth
-    records.  Member selection replaces the scalar engine's per-draw
-    pool scan with boolean masks over precomputed pool arrays (home-city
-    index, propensity) against one city-distance-matrix row per band.
+    records.  The builder reads the columns of a
+    :class:`~repro.sim.netpool.ColumnarNetworkPool`: member selection is
+    boolean masks over the pool's home-city matrix index and propensity
+    columns against one city-distance-matrix row per band, and yields
+    pool indices.  Only attached members are materialized as
+    :class:`PooledNetwork` objects, once per index, so a network that
+    joins several IXPs is one object (and one ``AutonomousSystem``).
     """
+
+    pool: ColumnarNetworkPool
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        networks = self.pool.networks
-        self._net_city_idx = np.array(
-            [self.matrix.index_of(n.home_city.name) for n in networks],
+        # Matrix index of every (continent_idx, city_idx) pair, so the
+        # home-city column is one table lookup.
+        by_continent = self.pool.cities_by_continent
+        table = np.zeros(
+            (len(SCOPE_CONTINENTS), max(map(len, by_continent.values()))),
             dtype=np.intp,
         )
-        self._net_propensity = np.array(
-            [n.propensity for n in networks], dtype=float
-        )
-        self._net_index_by_asn = {n.asn: i for i, n in enumerate(networks)}
+        for c, continent in enumerate(SCOPE_CONTINENTS):
+            for k, city in enumerate(by_continent[continent]):
+                table[c, k] = self.matrix.index_of(city.name)
+        self._net_city_idx = table[self.pool.continent_idx, self.pool.city_idx]
         self._city_continent = np.array(
             [c.continent for c in self.matrix.cities]
         )
+        self._networks: dict[int, PooledNetwork] = {}
+
+    def _network(self, index: int) -> PooledNetwork:
+        """Pool entry ``index`` as an object, materialized once."""
+        network = self._networks.get(index)
+        if network is None:
+            network = self._networks[index] = self.pool.network(index)
+        return network
 
     # -- member selection -------------------------------------------------------
 
@@ -1020,7 +1050,7 @@ class _VectorWorldBuilder(_WorldBuilder):
         """Propensity-weighted sample without replacement from pool indices
         (see :func:`repro.sim.netpool.weighted_index_sample` for the law)."""
         return weighted_index_sample(
-            rng, self._net_propensity[candidates], count, indices=candidates
+            rng, self.pool.propensity[candidates], count, indices=candidates
         )
 
     def _draw_band_members(
@@ -1087,17 +1117,18 @@ class _VectorWorldBuilder(_WorldBuilder):
         city: City,
         remote_members: int,
         direct_members: int,
-    ) -> list[tuple[PooledNetwork, str]]:
+    ) -> list[tuple[int, str]]:
         """Vectorized counterpart of ``_draw_members`` (same draw intent:
-        directs, partner seats, banded remotes, interleave shuffle)."""
-        networks = self.pool.networks
-        used = np.zeros(len(networks), dtype=bool)
-        chosen: list[tuple[PooledNetwork, str]] = []
-
-        directs = self.pool.sample_members(rng, city.continent, direct_members)
-        for network in directs:
-            used[self._net_index_by_asn[network.asn]] = True
-            chosen.append((network, "direct"))
+        directs, partner seats, banded remotes, interleave shuffle), as
+        (pool index, direct|remote-band) pairs."""
+        used = np.zeros(len(self.pool), dtype=bool)
+        directs = self.pool.sample_member_indices(
+            rng, city.continent, direct_members
+        )
+        used[directs] = True
+        chosen: list[tuple[int, str]] = [
+            (int(index), "direct") for index in directs
+        ]
 
         partner_slots = self._partner_slots(spec, city)
         n_partner = min(len(partner_slots), remote_members)
@@ -1112,14 +1143,12 @@ class _VectorWorldBuilder(_WorldBuilder):
         for partner_city in partner_slots[:n_partner]:
             index = self._draw_partner_member(spec, rng, partner_city, used)
             if index is not None:
-                chosen.append(
-                    (networks[index], f"partner:{partner_city.name}")
-                )
+                chosen.append((index, f"partner:{partner_city.name}"))
         for band in ("short", *_BANDS):
             for index in self._draw_band_members(
                 spec, rng, city, band, band_counts[band], used
             ):
-                chosen.append((networks[index], band))
+                chosen.append((index, band))
 
         order = rng.permutation(len(chosen))
         return [chosen[i] for i in order]
@@ -1156,7 +1185,7 @@ class _VectorWorldBuilder(_WorldBuilder):
             bias_extra=rng.uniform(3.0, 25.0, n),
             stale_rtt=rng.uniform(1.0, 18.0, n),
             stale_hops=rng.integers(1, 4, n),
-            asn_other=rng.integers(0, len(self.pool.networks), n),
+            asn_other=rng.integers(0, len(self.pool), n),
             asn_change_frac=rng.uniform(0.3, 0.7, n),
         )
 
@@ -1174,11 +1203,11 @@ class _VectorWorldBuilder(_WorldBuilder):
         # one array draw), capped at the candidate target like the scalar
         # engine's running `produced` counter.
         second = rng.random(len(members)) < self.config.second_interface_fraction
-        slots: list[tuple[PooledNetwork, str, int]] = []
-        for (network, wanted_kind), extra in zip(members, second):
-            slots.append((network, wanted_kind, 0))
+        slots: list[tuple[int, str, int]] = []
+        for (member, wanted_kind), extra in zip(members, second):
+            slots.append((member, wanted_kind, 0))
             if extra:
-                slots.append((network, wanted_kind, 1))
+                slots.append((member, wanted_kind, 1))
         slots = slots[:target_count]
 
         dual_lg = spec.has_pch_lg and spec.has_ripe_lg
@@ -1187,10 +1216,10 @@ class _VectorWorldBuilder(_WorldBuilder):
             band: self._cities_within(ixp.city, low, high)
             for band, (low, high) in _BAND_DISTANCES.items()
         }
-        for i, (network, wanted_kind, index) in enumerate(slots):
+        for i, (member, wanted_kind, index) in enumerate(slots):
             self._realize_interface(
-                spec, ixp, servers, network, wanted_kind, index, draws, i,
-                band_cities,
+                spec, ixp, servers, self._network(member), wanted_kind,
+                index, draws, i, band_cities,
             )
         for asys, kind, provider_name in anchors:
             self._add_anchor_interface(
@@ -1291,7 +1320,7 @@ class _VectorWorldBuilder(_WorldBuilder):
         asn_change = None
         if behavior == ASN_CHANGED:
             asn_change = (
-                self.pool.networks[int(d.asn_other[i])].asn,
+                ASN(int(self.pool.asn[d.asn_other[i]])),
                 float(d.asn_change_frac[i]) * self.config.window.duration_s,
             )
         self._publish(

@@ -7,25 +7,25 @@ networks), their advertised peering policy, and where they live.  The pool
 generator encodes those distributions once so that the detection and
 offload worlds draw from consistent populations.
 
-Three generation engines produce the same distributions:
+Two generation engines produce the same distributions:
 
-* ``"vectorized"`` (default) draws every attribute as one array over the
+* ``"columnar"`` (default) draws every attribute as one array over the
   whole pool — continent, city-within-continent, kind, policy,
   bicontinental coin + partner continent, address space, in that fixed
-  order — so a 5,600-network pool costs a handful of numpy calls;
-* ``"columnar"`` consumes the *identical* draws (both engines realize
-  :func:`_draw_pool_columns`, so the lint-verified draw program is the
-  same code object) but keeps the pool as struct-of-arrays columns — no
-  per-network :class:`PooledNetwork` / ``AutonomousSystem`` objects are
-  created until a caller explicitly materializes an index.  This is the
-  backend the 10⁵–10⁶-network mega worlds are built on: a 1M-network
-  pool is eight numpy arrays, not a million Python objects;
-* ``"scalar"`` replays the seed implementation's per-network loop and is
-  kept as the statistical reference.
+  order (:func:`_draw_pool_columns`) — and keeps the pool as
+  struct-of-arrays columns.  A 5,600-network pool costs a handful of
+  numpy calls, and no per-network :class:`PooledNetwork` /
+  ``AutonomousSystem`` object exists until a caller materializes an
+  index with :meth:`ColumnarNetworkPool.network`.  The vectorized
+  detection-world builder materializes only the networks it attaches;
+  the 10⁵–10⁶-network mega worlds materialize none;
+* ``"scalar"`` replays the seed implementation's per-network loop into a
+  :class:`NetworkPool` of objects and is kept as the statistical
+  reference.
 
-``vectorized`` and ``columnar`` pools are bit-identical entry for entry
-(``tests/test_sim_netpool.py`` pins it); the scalar engine consumes the
-same seed in a different order, so it agrees in distribution only.
+The scalar engine consumes the same seed in a different order, so the
+two agree in distribution only.  :meth:`ColumnarNetworkPool.materialize`
+gives the object form of a columnar pool, entry for entry.
 """
 
 from __future__ import annotations
@@ -70,6 +70,11 @@ _POLICY_WEIGHTS = {
     PeeringPolicy.RESTRICTIVE: 0.10,
 }
 
+#: Orders of the kind and policy tables: ``kind_idx`` / ``policy_idx``
+#: columns index into these.
+_KINDS: tuple[NetworkKind, ...] = tuple(_KIND_WEIGHTS)
+_POLICIES: tuple[PeeringPolicy, ...] = tuple(_POLICY_WEIGHTS)
+
 #: Mean announced log2(address space) by business type.
 _ADDRESS_SPACE_MEANS = {
     NetworkKind.ACCESS: 15.0,      # ~ a /17
@@ -95,10 +100,9 @@ class NetworkPoolConfig:
     global_scope_fraction: float = 0.04
     #: Fraction with a two-continent scope.
     bicontinental_fraction: float = 0.18
-    #: ``"vectorized"`` (array draws, default), ``"columnar"`` (same
-    #: draws, struct-of-arrays storage, lazy views) or ``"scalar"``
-    #: (per-network reference loop).
-    engine: str = "vectorized"
+    #: ``"columnar"`` (array draws into struct-of-arrays columns,
+    #: default) or ``"scalar"`` (per-network reference loop, objects).
+    engine: str = "columnar"
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -107,8 +111,12 @@ class NetworkPoolConfig:
             raise ConfigurationError("first ASN must be positive")
         if not 0 <= self.global_scope_fraction <= 1:
             raise ConfigurationError("fractions must be in [0, 1]")
-        if self.engine not in ("vectorized", "scalar", "columnar"):
-            raise ConfigurationError(f"unknown pool engine {self.engine!r}")
+        if self.engine not in ("columnar", "scalar"):
+            raise ConfigurationError(
+                f"unknown pool engine {self.engine!r}: use 'columnar' "
+                "(array draws; .materialize() gives the object pool) or "
+                "'scalar'"
+            )
 
 
 @dataclass(slots=True)
@@ -186,7 +194,6 @@ class NetworkPool:
         continent: str,
         count: int,
         exclude: set[ASN] | None = None,
-        candidates: list[PooledNetwork] | None = None,
     ) -> list[PooledNetwork]:
         """Draw ``count`` distinct members for an IXP on ``continent``.
 
@@ -194,22 +201,8 @@ class NetworkPool:
         propensity networks recur across IXPs — that recurrence *is* the
         IXP-count distribution of Figure 4a.
         """
-        if candidates is not None:
-            pool = candidates
-            if exclude:
-                pool = [n for n in pool if n.asn not in exclude]
-            if count > len(pool):
-                raise ConfigurationError(
-                    f"cannot draw {count} members from {len(pool)} "
-                    "eligible networks"
-                )
-            weights = np.array([n.propensity for n in pool], dtype=float)
-            idx = weighted_index_sample(rng, weights, count)
-            return [pool[i] for i in idx]
         eligible = self.eligible_for(continent)
         if exclude:
-            # Propensity (mutable on the objects) is read per call; only
-            # the immutable ASN column is needed for the exclusion mask.
             keep = np.array(
                 [self.networks[i].asn not in exclude for i in eligible]
             )
@@ -232,10 +225,9 @@ SCOPE_CONTINENTS: tuple[str, ...] = tuple(_CONTINENT_WEIGHTS)
 
 @dataclass
 class ColumnarNetworkPool:
-    """Struct-of-arrays pool: the mega-scale backend.
+    """Struct-of-arrays pool: what the ``columnar`` engine draws.
 
-    Holds the same population as a :class:`NetworkPool` generated with
-    the vectorized engine — bit-identical draws — but as columns:
+    One array per attribute:
 
     * ``asn``            int64, ascending (``first_asn + arange``)
     * ``continent_idx``  index into :data:`SCOPE_CONTINENTS`
@@ -246,10 +238,11 @@ class ColumnarNetworkPool:
     * ``address_space``  int64 announced IPv4 space
 
     No per-network Python object exists until :meth:`network` is called
-    for an explicit index; world builders at the 10⁵–10⁶ scale never
-    call it.  Sampling returns index arrays and consumes the exact
-    draw stream of :meth:`NetworkPool.sample_members` over the same
-    eligible sets, so small-n worlds agree bit-for-bit across backends.
+    for an explicit index: the detection-world builder calls it for the
+    networks it attaches, world builders at the 10⁵–10⁶ scale never.
+    Sampling returns index arrays and consumes the exact draw stream of
+    :meth:`NetworkPool.sample_members` over the same eligible sets, so
+    :meth:`materialize` samples member-for-member like the columns.
     """
 
     config: NetworkPoolConfig
@@ -319,25 +312,22 @@ class ColumnarNetworkPool:
     def network(self, i: int) -> PooledNetwork:
         """Materialize entry ``i`` as a :class:`PooledNetwork` on demand.
 
-        The lazy index view: bit-identical to the object the vectorized
-        engine would have built at the same position.
+        The lazy index view; each call builds a new object.
         """
         continent = SCOPE_CONTINENTS[int(self.continent_idx[i])]
         city = self.cities_by_continent[continent][int(self.city_idx[i])]
-        kinds = list(_KIND_WEIGHTS)
-        policies = list(_POLICY_WEIGHTS)
         return _make_network(
             asn=ASN(int(self.asn[i])),
             city=city,
-            kind=kinds[int(self.kind_idx[i])],
-            policy=policies[int(self.policy_idx[i])],
+            kind=_KINDS[int(self.kind_idx[i])],
+            policy=_POLICIES[int(self.policy_idx[i])],
             propensity=float(self.propensity[i]),
             scope=self.scope_of(i),
             address_space=int(self.address_space[i]),
         )
 
     def materialize(self) -> NetworkPool:
-        """Full object-backed pool (small-n equivalence tests only)."""
+        """Full object-backed pool (small-n tests and references only)."""
         return NetworkPool(
             networks=[self.network(i) for i in range(len(self))]
         )
@@ -386,9 +376,7 @@ def generate_network_pool(
     config = config or NetworkPoolConfig()
     if config.engine == "scalar":
         return _generate_scalar(city_db, config)
-    if config.engine == "columnar":
-        return _draw_pool_columns(city_db, config)
-    return _generate_vectorized(city_db, config)
+    return _draw_pool_columns(city_db, config)
 
 
 def _make_network(
@@ -414,24 +402,22 @@ def _make_network(
 def _draw_pool_columns(
     city_db: CityDB, config: NetworkPoolConfig
 ) -> ColumnarNetworkPool:
-    """The shared array draw program: one draw per attribute over the pool.
+    """The columnar engine: one array draw per attribute over the pool.
 
     Draw order (fixed; see the module docstring): rank permutation,
     continent, city-within-continent, kind, policy, bicontinental coin,
-    partner continent, address-space normal deviates.  Both the
-    vectorized and the columnar engine realize this function, so their
-    draw programs are one code object and parity is structural.
+    partner continent, address-space normal deviates.  Per-row values
+    that depend on a drawn index (city counts, address-space means) are
+    read from small per-category tables, not built row by row.
     """
     rng = make_rng(config.seed)
     size = config.size
     continents = list(_CONTINENT_WEIGHTS)
     continent_w = np.array([_CONTINENT_WEIGHTS[c] for c in continents])
     continent_w /= continent_w.sum()
-    kinds = list(_KIND_WEIGHTS)
-    kind_w = np.array([_KIND_WEIGHTS[k] for k in kinds], dtype=float)
+    kind_w = np.array([_KIND_WEIGHTS[k] for k in _KINDS], dtype=float)
     kind_w /= kind_w.sum()
-    policies = list(_POLICY_WEIGHTS)
-    policy_w = np.array([_POLICY_WEIGHTS[p] for p in policies], dtype=float)
+    policy_w = np.array([_POLICY_WEIGHTS[p] for p in _POLICIES], dtype=float)
     policy_w /= policy_w.sum()
     #: Name-sorted per-continent city lists — the same population the
     #: scalar engine's ``city_db.sample`` draws from uniformly.
@@ -443,17 +429,17 @@ def _draw_pool_columns(
     ranks = rng.permutation(size)
     continent_idx = rng.choice(len(continents), size=size, p=continent_w)
     city_counts = np.array(
-        [len(cities_by_continent[continents[i]]) for i in continent_idx]
-    )
+        [len(cities_by_continent[c]) for c in continents]
+    )[continent_idx]
     city_idx = rng.integers(0, city_counts)
-    kind_idx = rng.choice(len(kinds), size=size, p=kind_w)
-    policy_idx = rng.choice(len(policies), size=size, p=policy_w)
+    kind_idx = rng.choice(len(_KINDS), size=size, p=kind_w)
+    policy_idx = rng.choice(len(_POLICIES), size=size, p=policy_w)
     bicontinental = rng.random(size) < config.bicontinental_fraction
     other_idx = rng.choice(len(continents), size=size, p=continent_w)
     space_z = rng.normal(loc=0.0, scale=1.0, size=size)
 
     propensity = (1.0 + ranks) ** (-config.propensity_exponent)
-    means = np.array([_ADDRESS_SPACE_MEANS[kinds[i]] for i in kind_idx])
+    means = np.array([_ADDRESS_SPACE_MEANS[k] for k in _KINDS])[kind_idx]
     log2_size = np.clip(means + 1.5 * space_z, 8.0, 22.0)
     address_space = (2.0**log2_size).astype(np.int64)
 
@@ -481,15 +467,6 @@ def _draw_pool_columns(
         address_space=address_space,
         cities_by_continent=cities_by_continent,
     )
-
-
-def _generate_vectorized(
-    city_db: CityDB, config: NetworkPoolConfig
-) -> NetworkPool:
-    """Array-draw engine: the columnar draws, materialized as objects."""
-    columns = _draw_pool_columns(city_db, config)
-    networks = [columns.network(i) for i in range(len(columns))]
-    return NetworkPool(networks=networks)
 
 
 def _generate_scalar(city_db: CityDB, config: NetworkPoolConfig) -> NetworkPool:

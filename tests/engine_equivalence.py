@@ -1,8 +1,8 @@
 """Shared cross-engine statistical-equivalence machinery.
 
-The repo keeps a scalar reference implementation next to every
-vectorized engine (network pool, detection world, offload world, probe
-campaign) and holds the pairs to one of two standards:
+The repo keeps a scalar reference implementation next to every fast
+engine (network pool, detection world, offload world, probe campaign)
+and holds the pairs to one of two standards:
 
 * **bit-exact identity** — engines that consume identical stage-stream
   draws (the offload world) must agree member-for-member:
@@ -14,8 +14,12 @@ campaign) and holds the pairs to one of two standards:
 
 Fixed-seed world *pairs* (one per engine) are built through the
 ``*_pair`` factories so every suite compares the same worlds and no test
-file re-encodes the engine list.  This module is imported by the
-engine-equivalence suites (``tests/test_world_builder_engines.py``,
+file re-encodes the engine list.  The network pool's pair is
+``columnar`` and ``scalar``; its columnar side comes materialized
+(:meth:`~repro.sim.netpool.ColumnarNetworkPool.materialize`) so the
+comparators read both sides through the object API.  This module is
+imported by the engine-equivalence suites
+(``tests/test_world_builder_engines.py``,
 ``tests/test_offload_world_engines.py``) and by anything else that needs
 a cheap fixed-seed world (``tiny_offload_config``).
 """
@@ -34,8 +38,12 @@ from repro.sim.detection_world import (
 from repro.sim.netpool import NetworkPoolConfig, generate_network_pool
 from repro.sim.offload_world import OffloadWorldConfig, build_offload_world
 
-#: The engine pair every builder ships: the fast path and its reference.
+#: The engine pair every world builder ships: the fast path and its
+#: reference.
 ENGINES = ("vectorized", "scalar")
+
+#: The network pool's pair: array draws into columns, and the reference.
+POOL_ENGINES = ("columnar", "scalar")
 
 
 # -- fixed-seed world pairs ----------------------------------------------------
@@ -58,37 +66,32 @@ def tiny_offload_config(seed: int = 3, **overrides) -> OffloadWorldConfig:
 
 
 def network_pool_pair(size: int = 2000, seed: int = 7):
-    """(vectorized, scalar) network pools from one fixed seed."""
+    """(columnar, scalar) network pools from one fixed seed, as objects.
+
+    The columnar pool comes materialized, so both sides of the pair
+    offer the object API the distribution comparators read.
+    """
     db = default_city_db()
-    return tuple(
+    columnar, scalar = (
         generate_network_pool(
             db, NetworkPoolConfig(size=size, seed=seed, engine=engine)
         )
-        for engine in ENGINES
+        for engine in POOL_ENGINES
     )
+    return columnar.materialize(), scalar
 
 
 def columnar_pool_pair(size: int = 2000, seed: int = 7):
-    """(vectorized NetworkPool, ColumnarNetworkPool) from one fixed seed.
+    """(NetworkPool, ColumnarNetworkPool): one columnar pool, two forms.
 
-    The columnar backend holds to the *bit-exact* standard, not the
-    statistical one: both engines realize ``_draw_pool_columns``, so the
-    materialized views must equal the vectorized objects field for field.
+    The object form is the columns' :meth:`materialize`, so the two hold
+    to the *bit-exact* standard: equal eligible sets, and equal samples
+    from equally seeded generators.
     """
-    db = default_city_db()
-    return tuple(
-        generate_network_pool(
-            db, NetworkPoolConfig(size=size, seed=seed, engine=engine)
-        )
-        for engine in ("vectorized", "columnar")
+    pool = generate_network_pool(
+        default_city_db(), NetworkPoolConfig(size=size, seed=seed)
     )
-
-
-def assert_network_pools_identical(measured, reference):
-    """Every pool entry equal field-for-field (dataclass equality)."""
-    assert len(measured) == len(reference)
-    for got, want in zip(measured.networks, reference.networks):
-        assert got == want
+    return pool.materialize(), pool
 
 
 def detection_world_pair(seed: int = 11, acronyms: tuple[str, ...] | None = None):

@@ -188,10 +188,9 @@ class TestDrawPrograms:
         # The offload world registers three engines: the trial-batched
         # realizer (repro/sim/offload_batch.py) must open the same
         # streams as both single-world engines.  The netpool registers
-        # three too: scalar, plus vectorized and columnar, which both
-        # realize _draw_pool_columns.
+        # two: scalar and columnar.
         engine_counts = {"detection-world": 2, "offload-world": 3,
-                         "netpool": 3, "campaign": 2}
+                         "netpool": 2, "campaign": 2}
         for subsystem, expected in engine_counts.items():
             group = by_subsystem[subsystem]
             assert len(group) == expected, subsystem

@@ -11,9 +11,12 @@ fixed-seed world pairs live in :mod:`tests.engine_equivalence`, shared
 with the offload-engine suite.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.bgp.asys import AutonomousSystem
 from repro.core.detection import CampaignConfig, FilterPipeline, ProbeCampaign
 from repro.errors import ConfigurationError
 from repro.geo.cities import default_city_db
@@ -24,7 +27,13 @@ from repro.sim.detection_world import (
     build_detection_world,
     NORMAL,
 )
-from repro.sim.netpool import NetworkPoolConfig, generate_network_pool
+from repro.sim import scenarios
+from repro.sim.netpool import (
+    ColumnarNetworkPool,
+    NetworkPoolConfig,
+    PooledNetwork,
+    generate_network_pool,
+)
 from tests.engine_equivalence import (
     assert_category_counts_close,
     assert_counts_close,
@@ -81,6 +90,18 @@ class TestEngineSelection:
         with pytest.raises(ConfigurationError):
             NetworkPoolConfig(engine="quantum")
 
+    def test_unknown_pool_engine_names_columnar(self):
+        with pytest.raises(ConfigurationError, match="columnar"):
+            NetworkPoolConfig(engine="vectorized")
+
+    def test_world_engine_and_pool_engine_must_pair(self):
+        with pytest.raises(ConfigurationError, match="columnar"):
+            DetectionWorldConfig(pool=NetworkPoolConfig(engine="scalar"))
+        with pytest.raises(ConfigurationError, match="scalar"):
+            DetectionWorldConfig(
+                pool=NetworkPoolConfig(engine="columnar"), engine="scalar"
+            )
+
     def test_vectorized_is_default_and_deterministic(self):
         specs = (_spec(),)
         a = build_detection_world(DetectionWorldConfig(seed=3, specs=specs))
@@ -103,6 +124,35 @@ class TestEngineSelection:
         assert [n.home_city.name for n in world.pool.networks[:50]] == [
             n.home_city.name for n in reference.networks[:50]
         ]
+
+
+class TestAttachedMembersOnly:
+    def test_world_materializes_only_attached_networks(self):
+        # The vectorized builder reads pool columns and builds a
+        # PooledNetwork (and its AutonomousSystem) only for the networks
+        # it attaches, once each: the world holds no object per pool
+        # entry (a mini3 pool has 5,600 entries, ~300 of them attached).
+        gc.collect()
+        before = _count_instances(PooledNetwork, AutonomousSystem)
+        world = scenarios.mini3(11)
+        gc.collect()
+        after = _count_instances(PooledNetwork, AutonomousSystem)
+        members = {
+            m.network.asn for ixp in world.ixps.values() for m in ixp.members
+        }
+        assert isinstance(world.pool, ColumnarNetworkPool)
+        assert after[0] - before[0] <= len(members)
+        assert after[1] - before[1] <= len(members)
+        # A network attached at several IXPs is one object.
+        by_asn = {}
+        for ixp in world.ixps.values():
+            for m in ixp.members:
+                assert by_asn.setdefault(m.network.asn, m.network) is m.network
+
+
+def _count_instances(*types) -> tuple[int, ...]:
+    objects = gc.get_objects()
+    return tuple(sum(isinstance(o, t) for o in objects) for t in types)
 
 
 class TestPoolEngineEquivalence:
@@ -337,7 +387,7 @@ class TestShortfall:
                 seed=4, specs=(spec,),
                 pool=NetworkPoolConfig(
                     size=25, seed=4,
-                    engine="scalar" if engine == "scalar" else "vectorized",
+                    engine="scalar" if engine == "scalar" else "columnar",
                 ),
                 with_anchors=False, engine=engine,
             )
@@ -356,7 +406,9 @@ class TestShortfall:
     def test_zero_propensity_pool_sampling_uniform(self):
         """All-zero propensities must not produce NaN weights."""
         db = default_city_db()
-        pool = generate_network_pool(db, NetworkPoolConfig(size=50, seed=1))
+        pool = generate_network_pool(
+            db, NetworkPoolConfig(size=50, seed=1)
+        ).materialize()
         for network in pool.networks:
             network.propensity = 0.0
         rng = np.random.default_rng(0)
@@ -368,7 +420,9 @@ class TestShortfall:
         are all taken and the rest come uniformly from the zeros (the
         naive weighted choice raises ValueError here)."""
         db = default_city_db()
-        pool = generate_network_pool(db, NetworkPoolConfig(size=50, seed=1))
+        pool = generate_network_pool(
+            db, NetworkPoolConfig(size=50, seed=1)
+        ).materialize()
         eligible = pool.eligible_networks("EU")
         positive = {n.asn for n in eligible[:3]}
         for network in pool.networks:
@@ -391,8 +445,8 @@ class TestShortfall:
 
         db = default_city_db()
         pool = generate_network_pool(db, NetworkPoolConfig(size=30, seed=2))
-        for i, network in enumerate(pool.networks):
-            network.propensity = 1.0 if i < 4 else 0.0
+        pool.propensity[:] = 0.0
+        pool.propensity[:4] = 1.0
         specs = (_spec(),)
         builder = _VectorWorldBuilder(
             config=DetectionWorldConfig(seed=2, specs=specs),
