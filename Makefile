@@ -41,11 +41,13 @@ lint:
 	fi
 
 # The robustness gate: fault/retry determinism, trial quarantine (incl.
-# the kill-one-worker pool-restart study and its resume), and one small
+# the kill-one-worker pool-restart study and its resume), a faulted
+# threshold grid sharing one probe campaign per world, and one small
 # end-to-end failover scenario run.
 chaos:
 	$(PY) -m pytest -q tests/test_faults.py tests/test_campaign_faults.py \
-		tests/test_engine_quarantine.py tests/test_failover_scenario.py
+		tests/test_engine_quarantine.py tests/test_failover_scenario.py \
+		tests/test_threshold_sharing.py::TestFaultedThresholdGrid
 	$(PY) -m repro scenarios run failover --preset small --seeds 2 --workers 1
 
 # The mega-scale gate: the ~20k-network smoke world through the study
@@ -62,9 +64,11 @@ mega-smoke:
 # through a cold run, a byte-identical resubmission that must be a 100%
 # store hit (0 trials recomputed), and a timing-out study whose trials
 # must be quarantined by the thread-safe deadline from a scheduler
-# (non-main) thread.
+# (non-main) thread.  The memo-safety tests run two threshold-grid studies
+# on concurrent threads, as `repro serve --threads 2` does.
 serve-smoke:
-	$(PY) -m pytest -q tests/test_scheduler.py tests/test_serve.py
+	$(PY) -m pytest -q tests/test_scheduler.py tests/test_serve.py \
+		tests/test_threshold_sharing.py::TestMemoSafety
 	$(PY) -m repro serve --smoke
 
 bench:

@@ -65,6 +65,14 @@ def detect_main(argv: list[str] | None = None) -> int:
         help="restrict to these IXP acronyms (default: all 22)",
     )
     args = parser.parse_args(argv)
+    from repro.errors import ConfigurationError
+
+    try:
+        config = CampaignConfig(
+            seed=args.seed, remoteness_threshold_ms=args.threshold_ms
+        )
+    except ConfigurationError as error:
+        parser.error(str(error))
 
     specs = paper_catalog()
     if args.ixps:
@@ -73,9 +81,6 @@ def detect_main(argv: list[str] | None = None) -> int:
             parser.error("no matching IXPs")
     world = build_detection_world(
         DetectionWorldConfig(seed=args.seed, specs=specs)
-    )
-    config = CampaignConfig(
-        seed=args.seed, remoteness_threshold_ms=args.threshold_ms
     )
     result = ProbeCampaign(world, config).run()
 
@@ -294,9 +299,8 @@ def ensemble_main(argv: list[str] | None = None) -> int:
         parser.error("--workers cannot be negative")
     if args.trial_batch < 1:
         parser.error("--trial-batch must be at least 1")
-    if args.threshold_ms and any(t <= 0 for t in args.threshold_ms):
-        parser.error("--threshold-ms values must be positive")
 
+    from repro.errors import ConfigurationError
     from repro.experiments import (
         EnsembleConfig,
         grid_variants,
@@ -306,7 +310,6 @@ def ensemble_main(argv: list[str] | None = None) -> int:
     from repro.sim.scenarios import detection_preset_specs
 
     if args.ixps:
-        from repro.errors import ConfigurationError
         from repro.ixp.catalog import spec_by_acronym
 
         try:
@@ -324,9 +327,14 @@ def ensemble_main(argv: list[str] | None = None) -> int:
         axes["campaign.remoteness_threshold_ms"] = tuple(
             dict.fromkeys(args.threshold_ms)
         )
+    try:
+        # CampaignConfig validates each threshold (positive, finite).
+        variants = grid_variants(world=world, axes=axes)
+    except ConfigurationError as error:
+        parser.error(str(error))
     config = EnsembleConfig(
         seeds=tuple(range(args.seed_offset, args.seed_offset + args.seeds)),
-        variants=grid_variants(world=world, axes=axes),
+        variants=variants,
         workers=args.workers,
         trial_batch=args.trial_batch,
     )

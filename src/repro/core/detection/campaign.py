@@ -13,6 +13,9 @@ Reproduces Section 3.1's measurement discipline:
 
 from __future__ import annotations
 
+import math
+from numbers import Real
+
 import numpy as np
 
 from dataclasses import dataclass
@@ -64,8 +67,19 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.pch_rounds <= 0 or self.ripe_rounds <= 0:
             raise ConfigurationError("round counts must be positive")
-        if self.remoteness_threshold_ms <= 0:
-            raise ConfigurationError("threshold must be positive")
+        threshold = self.remoteness_threshold_ms
+        # bool is an int, and NaN compares false with everything: a NaN
+        # threshold would quietly call every interface direct.
+        if (
+            isinstance(threshold, bool)
+            or not isinstance(threshold, Real)
+            or not math.isfinite(threshold)
+            or threshold <= 0
+        ):
+            raise ConfigurationError(
+                "threshold must be a positive finite number, "
+                f"not {threshold!r}"
+            )
         if self.engine not in ("batch", "scalar"):
             raise ConfigurationError(f"unknown probe engine {self.engine!r}")
 

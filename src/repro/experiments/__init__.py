@@ -238,8 +238,13 @@ Usage — 16 seeds × three thresholds of the 3-IXP detection world::
         ),
         workers=0,          # 0 = one process per core (capped at #groups)
     )
-    result = run_ensemble(config)          # builds each seed's world ONCE
+    result = run_ensemble(config)          # builds + probes each world ONCE
     print(render_ensemble_report(result))  # mean ± 95% CI per variant
+
+A threshold grid only re-classifies: the trials of one world share a
+single probe campaign, filter run and result, and each trial applies its
+own ``remoteness_threshold_ms`` to it (see
+:func:`repro.experiments.ensemble.measure_detection_trial`).
 
 Grids sweep any config field via dotted axes (``world.<field>``,
 ``campaign.<field>``, ``filters.<field>``); each trial's campaign seed is

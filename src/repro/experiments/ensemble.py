@@ -16,12 +16,13 @@ from __future__ import annotations
 import gc
 import itertools
 import time
+import weakref
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.core.detection.campaign import CampaignConfig, ProbeCampaign
 from repro.core.detection.filters import FilterPipeline
-from repro.core.detection.results import build_result
+from repro.core.detection.results import CampaignResult, build_result
 from repro.core.detection.validation import validate_against_truth
 from repro.errors import ConfigurationError
 from repro.experiments.aggregate import (
@@ -208,6 +209,55 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     return measure_detection_trial(spec, world, build_s)
 
 
+class _DetectionPass(NamedTuple):
+    """The threshold-free part of a trial, and what it was measured on."""
+
+    world: weakref.ref
+    key: CampaignConfig
+    result: CampaignResult
+    collect_s: float
+    filter_s: float
+
+
+#: The last threshold-free pass.  One immutable tuple replaced in a single
+#: assignment, so study threads sharing this module never read a torn
+#: entry; each pool worker keeps its own copy, which is only ever a cache.
+_last_pass: _DetectionPass | None = None
+
+
+def _detection_pass(
+    world: DetectionWorld, campaign: CampaignConfig
+) -> _DetectionPass:
+    """Collect → filter → result for ``world``, reused while the key holds.
+
+    The key is the world object itself (by weak reference: a dead world
+    never matches, and the entry never keeps one alive) plus the campaign
+    config with its threshold normalised — seed, rounds, engine, faults
+    and filters all stay in it.  Neither the probes nor the filters read
+    the threshold, so a threshold grid over one world repeats this pass
+    exactly.  Only the filtered result is kept, never the raw
+    measurements.
+    """
+    global _last_pass
+    key = replace(campaign, remoteness_threshold_ms=1.0)
+    entry = _last_pass
+    if entry is not None and entry.world() is world and entry.key == key:
+        return entry
+    t1 = time.perf_counter()
+    measurements = ProbeCampaign(world, campaign).collect()
+    t2 = time.perf_counter()
+    report = FilterPipeline(campaign.filters).run(measurements)
+    t3 = time.perf_counter()
+    result = build_result(
+        measurements=measurements,
+        report=report,
+        threshold_ms=campaign.remoteness_threshold_ms,
+    )
+    entry = _DetectionPass(weakref.ref(world), key, result, t2 - t1, t3 - t2)
+    _last_pass = entry
+    return entry
+
+
 def measure_detection_trial(
     spec: TrialSpec, world: DetectionWorld, build_s: float
 ) -> TrialResult:
@@ -217,24 +267,28 @@ def measure_detection_trial(
     on its own client, and identification draws are pure in the world
     seed), so the engine can share one build across every trial whose
     world configuration matches.
+
+    The trial splits in two.  The threshold-free pass — probe campaign,
+    filters and result assembly — is shared by consecutive trials on the
+    same world object whose campaign configs differ at most in
+    ``remoteness_threshold_ms`` (see :func:`_detection_pass`): a world-key
+    group sweeping a threshold grid probes its world once.  The
+    classification — ground-truth validation and the per-IXP remote
+    fractions — runs per trial at ``spec.campaign``'s threshold, never
+    the shared result's.  Trials that reuse the pass report its
+    ``collect_s``/``filter_s``, just as trials sharing a world build
+    report the shared ``build_s``.
     """
-    t1 = time.perf_counter()
-    measurements = ProbeCampaign(world, spec.campaign).collect()
-    t2 = time.perf_counter()
-    report = FilterPipeline(spec.campaign.filters).run(measurements)
-    t3 = time.perf_counter()
-    result = build_result(
-        measurements=measurements,
-        report=report,
-        threshold_ms=spec.campaign.remoteness_threshold_ms,
-    )
-    truth = validate_against_truth(world, result)
+    shared = _detection_pass(world, spec.campaign)
+    result = shared.result
+    threshold_ms = spec.campaign.remoteness_threshold_ms
+    truth = validate_against_truth(world, result, threshold_ms=threshold_ms)
 
     per_ixp_total: dict[str, int] = {}
     per_ixp_remote: dict[str, int] = {}
     for iface in result.analyzed:
         per_ixp_total[iface.ixp_acronym] = per_ixp_total.get(iface.ixp_acronym, 0) + 1
-        if iface.remote(result.threshold_ms):
+        if iface.remote(threshold_ms):
             per_ixp_remote[iface.ixp_acronym] = (
                 per_ixp_remote.get(iface.ixp_acronym, 0) + 1
             )
@@ -246,9 +300,9 @@ def measure_detection_trial(
         trial_id=spec.trial_id,
         variant=spec.variant,
         seed=spec.seed,
-        candidate_count=len(measurements),
+        candidate_count=result.candidate_count,
         analyzed_count=result.analyzed_count(),
-        discard_counts=dict(report.discard_counts),
+        discard_counts=dict(result.discard_counts),
         true_positives=truth.true_positives,
         false_positives=truth.false_positives,
         true_negatives=truth.true_negatives,
@@ -256,8 +310,8 @@ def measure_detection_trial(
         remote_fraction_by_ixp=remote_fraction,
         shortfall=world.total_shortfall(),
         build_s=build_s,
-        collect_s=t2 - t1,
-        filter_s=t3 - t2,
+        collect_s=shared.collect_s,
+        filter_s=shared.filter_s,
     )
 
 

@@ -111,9 +111,12 @@ def _detection(config: dict[str, Any], seeds: tuple[int, ...]):
     if thresholds:
         if not isinstance(thresholds, list):
             raise ConfigurationError("threshold_ms must be a list")
-        axes["campaign.remoteness_threshold_ms"] = tuple(
-            dict.fromkeys(thresholds)
-        )
+        try:
+            axes["campaign.remoteness_threshold_ms"] = tuple(
+                dict.fromkeys(thresholds)
+            )
+        except TypeError as error:  # an unhashable JSON list or object
+            raise ConfigurationError(f"bad threshold_ms: {error}")
     study = DetectionStudy(variants=grid_variants(
         world=DetectionWorldConfig(specs=specs), axes=axes,
     ))

@@ -35,6 +35,12 @@ class TestDetectCLI:
         with pytest.raises(SystemExit):
             detect_main(["--ixps", "NOPE-IX"])
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_invalid_threshold_is_a_usage_error(self, threshold):
+        with pytest.raises(SystemExit) as exit_info:
+            detect_main(["--ixps", "TorIX", "--threshold-ms", threshold])
+        assert exit_info.value.code == 2
+
 
 @pytest.mark.slow
 class TestOffloadCLI:

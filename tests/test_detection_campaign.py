@@ -19,6 +19,18 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             CampaignConfig(remoteness_threshold_ms=0)
 
+    @pytest.mark.parametrize("threshold", [
+        True, "x", None, float("nan"), float("inf"), -float("inf"), -5.0,
+    ])
+    def test_invalid_thresholds_rejected(self, threshold):
+        # NaN compares false with everything (every interface would be
+        # called direct); a string used to escape as a TypeError.
+        with pytest.raises(ConfigurationError):
+            CampaignConfig(remoteness_threshold_ms=threshold)
+
+    def test_integer_threshold_accepted(self):
+        assert CampaignConfig(remoteness_threshold_ms=5).remoteness_threshold_ms == 5
+
 
 class TestCollection:
     def test_every_target_measured(self, mini_world, mini_result):

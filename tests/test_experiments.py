@@ -224,6 +224,15 @@ class TestEnsembleCLI:
         ) == 0
         assert "TorIX" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0"])
+    def test_invalid_threshold_is_a_usage_error(self, threshold):
+        from repro.cli import ensemble_main
+
+        with pytest.raises(SystemExit) as exit_info:
+            ensemble_main(["--ixps", "TorIX", "--seeds", "1", "--workers",
+                           "1", "--threshold-ms", "5", threshold])
+        assert exit_info.value.code == 2
+
     def test_dispatcher(self, capsys):
         from repro.cli import main
 

@@ -70,6 +70,18 @@ class TestResolveRequest:
         with pytest.raises(ConfigurationError):
             resolve_request(payload)
 
+    @pytest.mark.parametrize("thresholds", [
+        '["x"]', "[true]", "[NaN]", "[Infinity]", "[-Infinity]", '[["x"]]',
+    ])
+    def test_invalid_thresholds_rejected(self, thresholds):
+        # Raw JSON: Python's parser turns NaN/Infinity into floats.
+        payload = json.loads(
+            '{"study": "detection", "config": {"ixps": ["TorIX"], '
+            '"seeds": [0], "threshold_ms": ' + thresholds + "}}"
+        )
+        with pytest.raises(ConfigurationError):
+            resolve_request(payload)
+
 
 class TestResultStore:
     def test_missing_fingerprint_reports_absent(self, tmp_path):
@@ -151,6 +163,10 @@ class TestHttpApi:
             "study": "detection", "config": {"ixps": ["TorIX"], "seeds": []},
         })
         assert status == 400 and "seeds" in body["error"]
+        status, body = _call(base, "POST", "/studies", {
+            "study": "detection", "config": {"threshold_ms": ["x"]},
+        })
+        assert status == 400 and "threshold" in body["error"]
 
     def test_submit_poll_results_round_trip(self, base):
         job = _submit_detection(base, seeds=[31, 32])
