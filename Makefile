@@ -22,6 +22,8 @@ smoke:
 	$(PY) benchmarks/check_regression.py --quick
 	$(PY) -m repro study offload --scenario small --seeds 8 \
 		--trial-batch 8 --workers 1 --max-ixps 4
+	$(PY) -m repro study economics --scenario small --seeds 8 \
+		--trial-batch 8 --workers 1
 
 # The determinism & draw-stream static analysis (always available), plus
 # ruff and the strict-ish mypy profile for the typed surfaces

@@ -48,12 +48,12 @@ def greedy_expansion(
     Ties (including the all-zero tail) resolve alphabetically, which keeps
     runs deterministic.
 
-    Each rank is one matrix-vector product over the group's precomputed
-    cone-membership bitset followed by an argmax: row ``k`` of the product
-    is candidate ``k``'s fresh gain against the not-yet-covered traffic
-    vector, which the chosen row then zeroes out (incremental coverage).
-    The pre-bitset implementation recomputed every candidate's masked
-    traffic sums in a Python loop per rank.
+    The order comes from :func:`~repro.core.offload.bitsets.greedy_cover_rows`
+    over the group's cone-membership bitset: candidate ``k``'s gain is the
+    combined traffic of its not-yet-covered networks, and a heap of stale
+    gains means each rank re-sums only the candidates that could still
+    win.  The step's reported numbers are float64 masked sums over the
+    running coverage.
     """
     world = estimator.world
     matrix = world.matrix
@@ -64,22 +64,18 @@ def greedy_expansion(
     if limit <= 0:
         raise ConfigurationError("max_ixps must be positive")
 
-    bitset = estimator.group_matrix(group)
-    gain_matrix = estimator.group_matrix_float(group)
-    # Same (selection-grade) dtype as the gain matrix: argmax picks the
-    # winner, the step's reported numbers come from float64 masked sums.
-    uncovered_total = (matrix.inbound_bps + matrix.outbound_bps).astype(
-        np.float32
-    )
     offl_in = offl_out = 0.0
     steps: list[GreedyStep] = []
     for rank, best, covered in greedy_cover_rows(
-        bitset, gain_matrix, uncovered_total, limit
+        estimator.group_matrix(group), matrix.total_bps, limit
     ):
         best_ixp = candidates[best]
         previous_in, previous_out = offl_in, offl_out
-        offl_in = float(matrix.inbound_bps[covered].sum())
-        offl_out = float(matrix.outbound_bps[covered].sum())
+        # Gathering by index equals boolean masking (same array, same
+        # sum) but skips a per-element branch on the ~30k-entry mask.
+        reached = np.flatnonzero(covered)
+        offl_in = float(matrix.inbound_bps[reached].sum())
+        offl_out = float(matrix.outbound_bps[reached].sum())
         # The fresh gain is exactly the coverage delta (the row's fresh
         # indices are disjoint from the previous coverage).
         gain_in = offl_in - previous_in

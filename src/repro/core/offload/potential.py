@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.offload.bitsets import cached_group_bitset
-from repro.core.offload.peergroups import ALL_GROUPS, PeerGroups
+from repro.core.offload.peergroups import PeerGroups
 from repro.errors import ConfigurationError
 from repro.sim.offload_world import OffloadWorld
 from repro.types import ASN, NetworkKind
@@ -58,9 +58,10 @@ class OffloadEstimator:
     All reachability queries run off one precomputed boolean
     *cone-membership matrix* per peer group: row ``k`` is the offloadable
     mask of the ``k``-th reachable IXP (sorted by acronym), column ``i``
-    the ``i``-th contributing network.  Masks, unions and traffic sums are
-    then row reductions instead of per-member Python loops, which is what
-    makes many-seed offload ensembles and the greedy expansion cheap.
+    the ``i``-th contributing network.  The matrix is scattered from the
+    group's (IXP, member) pairs and one vectorised cone lookup; masks,
+    unions and traffic sums are then row reductions, and the greedy
+    expansion covers its rows with no matrix product.
     """
 
     def __init__(self, world: OffloadWorld, groups: PeerGroups | None = None):
@@ -71,7 +72,6 @@ class OffloadEstimator:
             for row, acronym in enumerate(sorted(world.memberships))
         }
         self._matrices: dict[int, np.ndarray] = {}
-        self._matrices_float: dict[int, np.ndarray] = {}
         self._transient: dict[str, np.ndarray] | None = None
 
     # -- masks -------------------------------------------------------------------
@@ -82,38 +82,11 @@ class OffloadEstimator:
         Rows follow :meth:`reachable_ixps` order.  The array is cached and
         marked read-only — callers operate on row views.
         """
-        world = self.world
-
-        def row_arrays():
-            in_group = self.groups.group_members(group)
-            return (
-                (
-                    row,
-                    [
-                        world.cone_contrib_indices(member)
-                        for member in world.memberships[acronym] & in_group
-                    ],
-                )
-                for acronym, row in self._ixp_row.items()
-            )
-
         return cached_group_bitset(
-            self._matrices, group, ALL_GROUPS,
-            (len(self._ixp_row), len(world.contributing)), row_arrays,
+            self._matrices, group,
+            (len(self._ixp_row), len(self.world.contributing)),
+            self.groups, self.world.contrib_cones,
         )
-
-    def group_matrix_float(self, group: int) -> np.ndarray:
-        """Float32 view of :meth:`group_matrix` for gain products.
-
-        Selection-grade precision only: greedy argmaxes run on it, while
-        every reported traffic number comes from float64 masked sums.
-        """
-        cached = self._matrices_float.get(group)
-        if cached is None:
-            cached = self.group_matrix(group).astype(np.float32)
-            cached.setflags(write=False)
-            self._matrices_float[group] = cached
-        return cached
 
     def _row_of(self, ixp_acronym: str) -> int:
         row = self._ixp_row.get(ixp_acronym)

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.offload.bitsets import cached_group_bitset, greedy_cover_rows
-from repro.core.offload.peergroups import ALL_GROUPS, PeerGroups
+from repro.core.offload.peergroups import PeerGroups
 from repro.errors import ConfigurationError
 from repro.sim.offload_world import OffloadWorld
 
@@ -53,35 +53,24 @@ class _AddressMatrix:
         )
         self._matrices: dict[int, np.ndarray] = {}
 
-    def _member_arrays(self, acronym: str, in_group) -> list[np.ndarray]:
-        world = self.world
-        members = world.memberships.get(acronym)
-        if members is None:
-            raise ConfigurationError(f"unknown IXP {acronym!r}")
-        return [world.cone_all_indices(m) for m in members & in_group]
-
     def matrix(self, group: int) -> np.ndarray:
-        def row_arrays():
-            in_group = self.groups.group_members(group)
-            return (
-                (row, self._member_arrays(acronym, in_group))
-                for row, acronym in enumerate(self.candidates)
-            )
-
         return cached_group_bitset(
-            self._matrices, group, ALL_GROUPS,
-            (len(self.candidates), len(self.asns)), row_arrays,
+            self._matrices, group, (len(self.candidates), len(self.asns)),
+            self.groups, self.world.all_cones,
         )
 
     def combined_mask(self, ixps: Iterable[str], group: int) -> np.ndarray:
         """Coverage of just the requested IXPs (no full-matrix assembly)."""
-        if group not in ALL_GROUPS:
-            raise ConfigurationError(f"unknown peer group {group}")
-        in_group = self.groups.group_members(group)
-        combined = np.zeros(len(self.asns), dtype=bool)
+        row_of = {acronym: row for row, acronym in enumerate(self.candidates)}
+        wanted = []
         for acronym in ixps:
-            for indices in self._member_arrays(acronym, in_group):
-                combined[indices] = True
+            if acronym not in row_of:
+                raise ConfigurationError(f"unknown IXP {acronym!r}")
+            wanted.append(row_of[acronym])
+        rows, members = self.groups.group_pairs(group)
+        combined = np.zeros(len(self.asns), dtype=bool)
+        reached = members[np.isin(rows, wanted)]
+        combined[self.world.all_cones(reached)[1]] = True
         return combined
 
 
@@ -111,23 +100,23 @@ def greedy_reachability(
     """Greedy expansion minimising transit-only reachable addresses.
 
     Mirrors Figure 10: at each step add the IXP whose members' cones cover
-    the most not-yet-covered address space — one matrix-vector product and
-    an argmax per rank, with the chosen row zeroing the address vector.
+    the most not-yet-covered address space, through the same
+    :func:`~repro.core.offload.bitsets.greedy_cover_rows` as the traffic
+    expansion.
     """
     matrices = _AddressMatrix(world, groups)
     candidates = matrices.candidates
     limit = len(candidates) if max_ixps is None else min(max_ixps, len(candidates))
     if limit <= 0:
         raise ConfigurationError("max_ixps must be positive")
-    bitset = matrices.matrix(group)
-    gain_matrix = bitset.astype(np.float32)
     total = float(matrices.space.sum())
-    uncovered_space = matrices.space.astype(np.float32)
     steps: list[ReachabilityStep] = []
     for rank, best, covered in greedy_cover_rows(
-        bitset, gain_matrix, uncovered_space, limit
+        matrices.matrix(group), matrices.space, limit
     ):
-        remaining = total - float(matrices.space[covered].sum())
+        remaining = total - float(
+            matrices.space[np.flatnonzero(covered)].sum()
+        )
         fresh_gain = (
             (total - remaining) if not steps
             else steps[-1].remaining_addresses - remaining

@@ -44,15 +44,20 @@ Study-specific keys:
     and ``preset`` (``small``/``paper``) — the registered scenario's own
     grid builder does the rest.
 
+Integer keys (``group``, ``max_ixps``, the ``groups`` entries) take JSON
+integers; the price keys take finite JSON numbers.  Booleans, strings,
+nulls, lists and non-finite numbers are rejected rather than coerced.
+
 Bad payloads raise :class:`~repro.errors.ConfigurationError`, which the
 HTTP layer maps to a 400 response.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EconomicsError
 from repro.experiments.engine import Study, StudyConfig
 
 #: Study kinds this resolver understands (the service's registry).
@@ -78,6 +83,23 @@ def parse_seeds(value: Any) -> tuple[int, ...]:
     raise ConfigurationError(
         "seeds must be a non-empty integer list or {count, offset}"
     )
+
+
+def _integer(value: Any, key: str) -> int:
+    """A JSON integer (not a bool, string or float), or a 400."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value: Any, key: str) -> float:
+    """A finite JSON number (not a bool or string), or a 400."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigurationError(
+            f"{key} must be a finite number, got {value!r}"
+        )
+    return float(value)
 
 
 def _study_config(config: dict[str, Any], seeds: tuple[int, ...]) -> StudyConfig:
@@ -133,8 +155,8 @@ def _offload(config: dict[str, Any], seeds: tuple[int, ...]):
         raise ConfigurationError("groups must be a non-empty list")
     study = OffloadStudy(variants=offload_grid_variants(
         world=world,
-        groups=tuple(dict.fromkeys(groups)),
-        max_ixps=int(config.get("max_ixps", 8)),
+        groups=tuple(dict.fromkeys(_integer(g, "groups") for g in groups)),
+        max_ixps=_integer(config.get("max_ixps", 8), "max_ixps"),
     ))
     return "offload", study, _study_config(config, seeds)
 
@@ -144,18 +166,24 @@ def _economics(config: dict[str, Any], seeds: tuple[int, ...]):
     from repro.sim.scenarios import offload_preset_config
 
     preset = config.get("preset", "small")
-    variant = EconomicsVariant(
-        name=preset,
-        world=offload_preset_config(preset),
-        group=int(config.get("group", 4)),
-        max_ixps=int(config.get("max_ixps", 20)),
-        transit_price=float(config.get("transit_price", 5.0)),
-        direct_fixed=float(config.get("direct_fixed", 1.0)),
-        direct_unit=float(config.get("direct_unit", 0.5)),
-        remote_fixed=float(config.get("remote_fixed", 0.25)),
-        remote_unit=float(config.get("remote_unit", 1.5)),
-        price_per_mbps=float(config.get("price_per_mbps", 1.0)),
-    )
+    prices = {
+        key: _number(config.get(key, default), key)
+        for key, default in (
+            ("transit_price", 5.0), ("direct_fixed", 1.0),
+            ("direct_unit", 0.5), ("remote_fixed", 0.25),
+            ("remote_unit", 1.5), ("price_per_mbps", 1.0),
+        )
+    }
+    try:
+        variant = EconomicsVariant(
+            name=preset,
+            world=offload_preset_config(preset),
+            group=_integer(config.get("group", 4), "group"),
+            max_ixps=_integer(config.get("max_ixps", 20), "max_ixps"),
+            **prices,
+        )
+    except EconomicsError as error:  # a price structure eq. 14 rejects
+        raise ConfigurationError(f"bad prices: {error}")
     study = EconomicsStudy(variants=(variant,))
     return "economics", study, _study_config(config, seeds)
 
@@ -169,7 +197,7 @@ def _scenario(config: dict[str, Any], seeds: tuple[int, ...]):
     run = get_scenario(name).build(
         preset=config.get("preset", "small"),
         seeds=seeds,
-        workers=int(config.get("workers", 0)),
+        workers=_integer(config.get("workers", 0), "workers"),
     )
     # The scenario builder owns the full StudyConfig (workers included);
     # layer the request's engine knobs on top of it.

@@ -65,19 +65,19 @@ from repro.sim.offload_world import (
     _GIANTS,
     _REGION_TRAFFIC_MULTIPLIER,
     _REGIONS,
+    _POLICY_CODE,
     _STUB_KINDS,
+    POLICY_ORDER,
+    ConeTable,
     OffloadWorldConfig,
     _OffloadBuilderBase,
+    _positions,
     _StubDraws,
     _Tier2Draws,
+    asn_array,
 )
 from repro.types import ASN, NetworkKind, PeeringPolicy
 
-_EMPTY_I32 = np.empty(0, dtype=np.int32)
-
-_STUB_POLICY_VALUES = (
-    PeeringPolicy.OPEN, PeeringPolicy.SELECTIVE, PeeringPolicy.RESTRICTIVE,
-)
 
 #: Per-kind-slot lookups so per-seed stub scoring is one gather instead of
 #: ~30k dict probes.  Values mirror the reference tables bit-for-bit.
@@ -119,7 +119,9 @@ class _BatchStatics:
     mega_carriers: list[ASN]
     tier2_propensity: dict[ASN, float]
     giant_kinds: list[NetworkKind]
-    static_policy: dict[int, PeeringPolicy]
+    #: Policy codes of the non-tier-2, non-stub networks, ASN-ascending.
+    static_asns: np.ndarray
+    static_codes: np.ndarray
     static_region: dict[int, str]
     #: Initial announced space per ASN, ascending-ASN order (stub slots 256).
     base_space: np.ndarray
@@ -129,8 +131,8 @@ class _BatchStatics:
     stub_offset: int
     #: Contributing ASN → array index; shared read-only by every seed.
     contrib_index: dict
-    #: ``arange(contributing_count, dtype=int32)`` shared by the views.
-    contrib_arange: np.ndarray
+    #: The contributing ASNs as an (ascending) array, same order.
+    contrib_asns: np.ndarray
     #: ``_INBOUND_SHARE`` of the giants + tier-2s (the static head of the
     #: contributing list); the stub tail is gathered per seed by kind code.
     head_share: np.ndarray
@@ -200,6 +202,7 @@ def _build_statics(config: OffloadWorldConfig) -> _BatchStatics:
             f"contributing count {len(contributing)} != "
             f"{cfg.contributing_count}"
         )
+    static_asns = np.array(sorted(static_policy), dtype=np.int64)
     head_share = np.concatenate([
         np.array([_INBOUND_SHARE[k] for k in giant_kinds]),
         np.full(cfg.tier2_count, _INBOUND_SHARE[NetworkKind.TRANSIT]),
@@ -219,13 +222,17 @@ def _build_statics(config: OffloadWorldConfig) -> _BatchStatics:
         mega_carriers=tier2s[: cfg.mega_carrier_count],
         tier2_propensity=tier2_propensity,
         giant_kinds=giant_kinds,
-        static_policy=static_policy,
+        static_asns=static_asns,
+        static_codes=np.array(
+            [_POLICY_CODE[static_policy[a]] for a in static_asns.tolist()],
+            dtype=np.int8,
+        ),
         static_region=static_region,
         base_space=base_space,
         carrier_static=carrier_static,
         stub_offset=stub_offset,
         contrib_index={a: i for i, a in enumerate(contributing)},
-        contrib_arange=np.arange(len(contributing), dtype=np.int32),
+        contrib_asns=np.array(contributing, dtype=np.int64),
         head_share=head_share,
     )
 
@@ -259,14 +266,12 @@ class OffloadWorldView:
     collector: FlowCollector
     region_of: dict
     _contrib_index: dict
-    _cones: dict
-    _static_policy: dict[int, PeeringPolicy]
-    _tier2_draws: _Tier2Draws
+    _cones: ConeTable
+    _static_asns: np.ndarray
+    _static_codes: np.ndarray
+    _tier2_policy_codes: np.ndarray
     _stub_policy_codes: np.ndarray
     _address_space: np.ndarray
-    #: Shared ``arange(len(contributing), dtype=int32)``; single-network
-    #: cones are served as one-element slices of it.
-    _contrib_arange: np.ndarray
 
     def contributing_index(self, asn: ASN) -> int | None:
         """Index of ``asn`` in the contributing arrays, or None."""
@@ -274,41 +279,41 @@ class OffloadWorldView:
 
     def policy_of(self, asn: ASN) -> PeeringPolicy:
         """Published peering policy, resolved from the stage draws."""
-        value = int(asn)
-        if value >= 10_001:
-            return _STUB_POLICY_VALUES[
-                int(self._stub_policy_codes[value - 10_001])
-            ]
-        if value >= 3001:
-            i = value - 3001
-            return self._tier2_draws.policy(
-                i, i < self.config.mega_carrier_count
-            )
-        return self._static_policy[value]
+        return POLICY_ORDER[int(self.policy_codes(np.array([asn]))[0])]
+
+    def policy_codes(self, asns: np.ndarray) -> np.ndarray:
+        """Policy codes (indices into ``POLICY_ORDER``) of ``asns``.
+
+        Stubs and tier-2s read their stage-draw code arrays by ASN offset;
+        the scaffold networks come from the shared static table.
+        """
+        asns = np.asarray(asns, dtype=np.int64)
+        codes = np.empty(asns.size, dtype=np.int8)
+        stub = asns >= 10_001
+        tier2 = ~stub & (asns >= 3001)
+        static = ~(stub | tier2)
+        codes[stub] = self._stub_policy_codes[asns[stub] - 10_001]
+        codes[tier2] = self._tier2_policy_codes[asns[tier2] - 3001]
+        k = _positions(self._static_asns, asns[static])
+        if (k < 0).any():
+            raise KeyError(f"unknown ASNs {asns[static][k < 0].tolist()}")
+        codes[static] = self._static_codes[k]
+        return codes
 
     def cone_contrib_indices(self, asn: ASN) -> np.ndarray:
         """Contributing-array indices covered by ``asn``'s customer cone."""
-        got = self._cones.get(asn)
-        if got is not None:
-            return got
-        index = self._contrib_index.get(asn)
-        if index is None:
-            got = _EMPTY_I32
-        else:
-            # Giants and stubs have no customers: their cone is themselves,
-            # served as a slice of one shared arange (no allocation).
-            got = self._contrib_arange[index: index + 1]
-        self._cones[asn] = got
-        return got
+        return self._cones.get(asn)
+
+    def contrib_cones(self, asns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``asns`` cone: per-ASN lengths, indices concatenated."""
+        return self._cones.gather(asns)
 
     def contributing_mask_for_members(
         self, members: frozenset[ASN]
     ) -> np.ndarray:
         """Boolean offloadable mask over contributing networks."""
         mask = np.zeros(len(self.contributing), dtype=bool)
-        # Scattering True is commutative over member order.  # repro-lint: ok[det-set-iter]
-        for member in members:
-            mask[self.cone_contrib_indices(member)] = True
+        mask[self.contrib_cones(asn_array(members))[1]] = True
         return mask
 
     def total_address_space(self) -> float:
@@ -594,13 +599,16 @@ class _BatchSeedBuilder(_OffloadBuilderBase):
 
     # -- cone index tables from the drawn edges -------------------------------
 
-    def _cone_tables(self) -> dict:
-        """Per-candidate cone index arrays, straight from the edge draws.
+    def _cone_tables(self) -> ConeTable:
+        """The contributing-cone table, straight from the edge draws.
 
         Matches the reference Kahn tables exactly: ``int32``, ascending,
         the owner's own contributing index included.  The provider DAG is
         three levels deep, so tier-2 cones are one sorted CSR build and
         tier-1 cones one gather over their customer tier-2s' segments.
+        Giants and stubs have no customers: the shared contributing-ASN
+        array serves them as singles, so a view stores only the tier-1 and
+        tier-2 runs.
         """
         cfg = self.config
         st = self._static
@@ -625,11 +633,6 @@ class _BatchSeedBuilder(_OffloadBuilderBase):
         values[own_slots] = (giant_count + np.arange(n2)).astype(np.int32)
         values[~own_slots] = cust2_sorted.astype(np.int32)
 
-        cones: dict = {}
-        for j, tier2 in enumerate(st.tier2s):
-            s = int(seg_start[j])
-            cones[tier2] = values[s: s + int(seg_len[j])]
-
         # tier-1 cones: direct contributing customers + the cones of their
         # customer tier-2s (which carry the transitive stub members).
         direct_cust = np.concatenate([
@@ -653,13 +656,20 @@ class _BatchSeedBuilder(_OffloadBuilderBase):
         indirect_prov = np.repeat(self._tier2_uplink_prov, seg_lens)
         all_cust = np.concatenate([direct_cust, indirect_cust])
         all_prov = np.concatenate([direct_prov, indirect_prov])
-        # Dedup by scatter: one (tier-1, member) bitmap, then flatnonzero
-        # per tier-1 yields the sorted unique members directly.
+        # Dedup by scatter: one (tier-1, member) bitmap, whose row-major
+        # nonzeros are each tier-1's sorted unique members.
         covered = np.zeros((len(st.tier1s), total), dtype=bool)
         covered[all_prov, all_cust] = True
-        for t, tier1 in enumerate(st.tier1s):
-            cones[tier1] = np.flatnonzero(covered[t]).astype(np.int32)
-        return cones
+        tier1_values = np.flatnonzero(covered) % total
+
+        lengths = np.concatenate([covered.sum(axis=1), seg_len])
+        return ConeTable(
+            owners=np.array([*st.tier1s, *st.tier2s], dtype=np.int64),
+            starts=np.cumsum(lengths) - lengths,
+            lengths=lengths,
+            values=np.concatenate([tier1_values.astype(np.int32), values]),
+            singles=st.contrib_asns,
+        )
 
     # -- realization ----------------------------------------------------------
 
@@ -703,11 +713,13 @@ class _BatchSeedBuilder(_OffloadBuilderBase):
             region_of=self.region_of,
             _contrib_index=st.contrib_index,
             _cones=cones,
-            _static_policy=st.static_policy,
-            _tier2_draws=self._tier2_draws,
+            _static_asns=st.static_asns,
+            _static_codes=st.static_codes,
+            _tier2_policy_codes=self._tier2_draws.policy_codes(
+                cfg.mega_carrier_count
+            ),
             _stub_policy_codes=self._stub_policy_codes,
             _address_space=address_space,
-            _contrib_arange=st.contrib_arange,
         )
 
 

@@ -179,6 +179,12 @@ _TIER2_POLICIES = (
     + [PeeringPolicy.RESTRICTIVE] * 12
 )
 
+#: Code order of the worlds' ``policy_codes`` lookups: code ``c`` is
+#: ``POLICY_ORDER[c]``.
+POLICY_ORDER = tuple(PeeringPolicy)
+_POLICY_CODE = {policy: code for code, policy in enumerate(POLICY_ORDER)}
+_TIER2_POLICY_CODES = np.array([_POLICY_CODE[p] for p in _TIER2_POLICIES])
+
 _ENGINES = ("vectorized", "scalar")
 
 
@@ -236,25 +242,73 @@ class OffloadWorldConfig:
             )
 
 
-def _split_by_owner(
-    asns: list, owners: np.ndarray, values: np.ndarray
-) -> dict:
-    """Split owner-sorted (owner, value) pairs into per-owner array views.
+def asn_array(asns) -> np.ndarray:
+    """An ASN collection (set, list or array) as an int64 array."""
+    return np.fromiter(asns, dtype=np.int64, count=len(asns))
 
-    ``owners`` must be non-decreasing; the returned dict maps each present
-    owner's ASN to a read-only-by-convention view of its contiguous run in
-    ``values`` (no copies — ``np.split`` costs ~100 ms for the paper
-    world's ~30k runs, plain slicing is ~milliseconds).
+
+def _positions(keys: np.ndarray, asns: np.ndarray) -> np.ndarray:
+    """Position of each ASN in the ascending ``keys``, or -1."""
+    if not keys.size:
+        return np.full(asns.size, -1)
+    k = np.minimum(np.searchsorted(keys, asns), keys.size - 1)
+    return np.where(keys[k] == asns, k, -1)
+
+
+@dataclass(frozen=True, slots=True)
+class ConeTable:
+    """Customer-cone index runs in CSR form, one run per owner ASN.
+
+    Owner ``k`` (``owners`` ascending) covers
+    ``values[starts[k]:starts[k] + lengths[k]]``: int32 indices,
+    ascending, the owner's own index included when it has one.  Networks
+    without customers may instead be listed in ``singles`` (ascending),
+    whose cone is their own position there: a view's customer-less
+    contributing networks, served from one array its seeds share.  ASNs
+    in neither have an empty cone.
     """
-    if owners.size == 0:
-        return {}
-    bounds = np.flatnonzero(np.diff(owners)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [owners.size]))
-    return {
-        asns[int(owners[s])]: values[s:e]
-        for s, e in zip(starts.tolist(), ends.tolist())
-    }
+
+    owners: np.ndarray   # int64 ASNs, ascending
+    starts: np.ndarray   # int64
+    lengths: np.ndarray  # int64
+    values: np.ndarray   # int32
+    singles: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64)
+    )
+
+    @classmethod
+    def from_pairs(
+        cls, asns: np.ndarray, owners: np.ndarray, values: np.ndarray
+    ) -> "ConeTable":
+        """From owner-sorted (owner position in ``asns``, value) pairs."""
+        positions, starts, lengths = np.unique(
+            owners, return_index=True, return_counts=True
+        )
+        return cls(asns[positions], starts, lengths, values)
+
+    def get(self, asn: ASN) -> np.ndarray:
+        """One ASN's cone (empty when it has none)."""
+        return self.gather(np.array([asn], dtype=np.int64))[1]
+
+    def gather(self, asns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-ASN cone lengths, and the cones concatenated in order."""
+        asns = np.asarray(asns, dtype=np.int64)
+        k = _positions(self.owners, asns)
+        lengths = np.where(k >= 0, self.lengths[k], 0)
+        starts = self.starts[k]
+        values = self.values
+        if self.singles.size:
+            j = _positions(self.singles, asns)
+            single = (k < 0) & (j >= 0)
+            lengths = lengths + single
+            starts = np.where(single, values.size + j, starts)
+            values = np.concatenate([
+                values, np.arange(self.singles.size, dtype=values.dtype)
+            ])
+        ends = np.cumsum(lengths)
+        offsets = np.arange(ends[-1] if ends.size else 0)
+        offsets -= np.repeat(ends - lengths - starts, lengths)
+        return lengths, values[offsets]
 
 
 @dataclass
@@ -279,14 +333,8 @@ class OffloadWorld:
     region_of: dict[ASN, str]
     _contrib_index: dict[ASN, int] = field(default_factory=dict)
     _cone_cache: dict[ASN, frozenset[ASN]] = field(default_factory=dict)
-    _cone_tables: tuple[dict, dict] | None = field(
+    _cone_tables: tuple[ConeTable, ConeTable] | None = field(
         default=None, repr=False, compare=False
-    )
-    _cone_contrib_arrays: dict[ASN, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _cone_all_arrays: dict[ASN, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -311,30 +359,37 @@ class OffloadWorld:
         """Published peering policy of a network."""
         return self.graph.get(asn).policy
 
+    def policy_codes(self, asns: np.ndarray) -> np.ndarray:
+        """Policy codes (indices into :data:`POLICY_ORDER`) of ``asns``."""
+        return np.array(
+            [_POLICY_CODE[self.graph.get(a).policy] for a in asns.tolist()],
+            dtype=np.int8,
+        )
+
     def kind_of(self, asn: ASN) -> NetworkKind:
         """Business type of a network."""
         return self.graph.get(asn).kind
 
     # -- cone index tables (the offload bitsets' raw material) -------------------
 
-    def _cone_index_tables(self) -> tuple[dict, dict]:
+    def _cone_index_tables(self) -> tuple[ConeTable, ConeTable]:
         """Per-AS cone membership as index arrays, built bottom-up.
 
-        Returns ``(contrib_table, all_table)``: ``contrib_table[a]`` holds
-        the indices (into :attr:`contributing`) of the contributing
-        networks inside ``a``'s customer cone; ``all_table[a]`` the indices
-        into the sorted :meth:`all_asns` list.  The relation is inverted —
-        ``i ∈ cone(a)  ⇔  a ∈ closure(i)`` where *closure* is a network
-        plus its transitive providers — and closures are computed as one
-        array program over the customer→provider DAG: a Kahn level order
-        (all providers of a level-``k`` node sit in levels ``< k``), then
-        per level one gather of every provider closure (CSR multi-slice),
-        one ``np.unique`` dedup over packed (member, ancestor) keys, and
-        one COO append.  A final argsort by (ancestor, member) splits the
-        pair list into the per-ancestor index tables.  The previous
-        implementation did the same walk with per-AS frozenset unions and
-        a Python scatter loop (~0.3 s of the old ``offload_groups_build``
-        stage on the paper world).
+        Returns ``(contrib_table, all_table)``: ``contrib_table``'s run for
+        ``a`` holds the indices (into :attr:`contributing`) of the
+        contributing networks inside ``a``'s customer cone; ``all_table``'s
+        the indices into the sorted :meth:`all_asns` list.  The relation
+        is inverted — ``i ∈ cone(a)  ⇔  a ∈ closure(i)`` where *closure*
+        is a network plus its transitive providers — and closures are
+        computed as one array program over the customer→provider DAG: a
+        Kahn level order (all providers of a level-``k`` node sit in
+        levels ``< k``), then per level one gather of every provider
+        closure (CSR multi-slice), one ``np.unique`` dedup over packed
+        (member, ancestor) keys, and one COO append.  A final argsort by
+        (ancestor, member) turns the pair list into the per-ancestor CSR
+        tables.  The previous implementation did the same walk with per-AS
+        frozenset unions and a Python scatter loop (~0.3 s of the old
+        ``offload_groups_build`` stage on the paper world).
         """
         if self._cone_tables is None:
             asns = self.graph.asns()
@@ -414,7 +469,8 @@ class OffloadWorld:
             order = np.argsort(ancestors * np.int64(n) + members)
             members = members[order].astype(np.int32)
             ancestors = ancestors[order]
-            all_table = _split_by_owner(asns, ancestors, members)
+            asn_ids = np.asarray(asns, dtype=np.int64)
+            all_table = ConeTable.from_pairs(asn_ids, ancestors, members)
 
             contrib_of = np.full(n, -1, dtype=np.int64)
             for asn, ci in self._contrib_index.items():
@@ -422,27 +478,27 @@ class OffloadWorld:
             keep = contrib_of[members] >= 0
             c_members = contrib_of[members[keep]].astype(np.int32)
             c_ancestors = ancestors[keep]
-            contrib_table = _split_by_owner(asns, c_ancestors, c_members)
+            contrib_table = ConeTable.from_pairs(
+                asn_ids, c_ancestors, c_members
+            )
             self._cone_tables = (contrib_table, all_table)
         return self._cone_tables
 
     def cone_contrib_indices(self, asn: ASN) -> np.ndarray:
         """Contributing-array indices covered by ``asn``'s customer cone."""
-        got = self._cone_contrib_arrays.get(asn)
-        if got is None:
-            table = self._cone_index_tables()[0]
-            got = np.asarray(table.get(asn, ()), dtype=np.int32)
-            self._cone_contrib_arrays[asn] = got
-        return got
+        return self._cone_index_tables()[0].get(asn)
 
     def cone_all_indices(self, asn: ASN) -> np.ndarray:
         """Sorted-ASN-array indices covered by ``asn``'s customer cone."""
-        got = self._cone_all_arrays.get(asn)
-        if got is None:
-            table = self._cone_index_tables()[1]
-            got = np.asarray(table.get(asn, ()), dtype=np.int32)
-            self._cone_all_arrays[asn] = got
-        return got
+        return self._cone_index_tables()[1].get(asn)
+
+    def contrib_cones(self, asns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``asns`` cone: per-ASN lengths, indices concatenated."""
+        return self._cone_index_tables()[0].gather(asns)
+
+    def all_cones(self, asns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """As :meth:`contrib_cones`, over the sorted :meth:`all_asns` list."""
+        return self._cone_index_tables()[1].gather(asns)
 
     def contributing_mask_for_members(self, members: frozenset[ASN]) -> np.ndarray:
         """Boolean mask over contributing networks offloadable via ``members``.
@@ -451,10 +507,7 @@ class OffloadWorld:
         customer cone (members themselves included).
         """
         mask = np.zeros(len(self.contributing), dtype=bool)
-        # Scattering True into a boolean mask is commutative: any member
-        # order produces the same mask.  # repro-lint: ok[det-set-iter]
-        for member in members:
-            mask[self.cone_contrib_indices(member)] = True
+        mask[self.contrib_cones(asn_array(members))[1]] = True
         return mask
 
     def all_asns(self) -> list[ASN]:
@@ -1002,6 +1055,19 @@ class _Tier2Draws:
         return _TIER2_POLICIES[
             int(self.policy_u[i] * len(_TIER2_POLICIES))
         ]
+
+    def policy_codes(self, mega_count: int) -> np.ndarray:
+        """:meth:`policy` of every tier-2 at once, as policy codes."""
+        i = np.arange(self.policy_u.size)
+        drawn = _TIER2_POLICY_CODES[
+            (self.policy_u * len(_TIER2_POLICIES)).astype(np.int64)
+        ]
+        mega = np.where(
+            i % 3 != 0,
+            _POLICY_CODE[PeeringPolicy.SELECTIVE],
+            _POLICY_CODE[PeeringPolicy.RESTRICTIVE],
+        )
+        return np.where(i < mega_count, mega, drawn).astype(np.int8)
 
 
 @dataclass(frozen=True, slots=True)

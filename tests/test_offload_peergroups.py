@@ -122,5 +122,31 @@ class TestGroups:
         with pytest.raises(ConfigurationError):
             small_groups.ixp_group_members("NOPE-IX", 4)
 
+    def test_in_group_agrees_with_group_members(
+        self, small_offload_world, small_groups
+    ):
+        outsiders = [small_offload_world.rediris, *small_offload_world.tier1s]
+        for group in ALL_GROUPS:
+            members = small_groups.group_members(group)
+            for asn in [*small_groups.candidates, *outsiders]:
+                assert small_groups.in_group(asn, group) == (asn in members)
+
+    def test_group4_reads_no_policies(self, small_offload_world, small_groups):
+        class NoPolicies:
+            def __getattr__(self, name):
+                return getattr(small_offload_world, name)
+
+            def policy_codes(self, asns):
+                raise AssertionError("group 4 looked up a policy")
+
+        blind = PeerGroups(
+            world=NoPolicies(),
+            candidates=small_groups.candidates,
+            top_selective=small_groups.top_selective,
+        )
+        asn = next(iter(small_groups.candidates))
+        assert blind.in_group(asn, 4)
+        assert blind.group_members(4) == small_groups.candidates
+
     def test_labels_cover_groups(self):
         assert set(GROUP_LABELS) == set(ALL_GROUPS)

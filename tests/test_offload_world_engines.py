@@ -23,7 +23,12 @@ from repro.core.offload import (
     greedy_reachability,
 )
 from repro.errors import ConfigurationError, TopologyError
-from repro.sim.offload_world import OffloadWorldConfig, build_offload_world
+from repro.sim.offload_batch import build_offload_views
+from repro.sim.offload_world import (
+    POLICY_ORDER,
+    OffloadWorldConfig,
+    build_offload_world,
+)
 from repro.types import NetworkKind, PeeringPolicy
 from tests.conftest import small_offload_config
 from tests.engine_equivalence import (
@@ -143,6 +148,76 @@ class TestConeIndexTables:
         for giant in members:
             assert mask[world.contributing_index(giant)]
         assert mask.sum() >= len(members)
+
+
+class TestVectorLookups:
+    """The batched view and the built world answer the array lookups alike.
+
+    The peer groups and cone bitsets read only ``policy_codes`` and
+    ``contrib_cones``; both world kinds must agree on every ASN, and with
+    their own per-ASN lookups.
+    """
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        config = tiny_offload_config(seed=7)
+        return build_offload_world(config), build_offload_views([config])[0]
+
+    def test_policy_codes_match_per_asn_policies(self, pair):
+        world, view = pair
+        asns = np.array(world.all_asns(), dtype=np.int64)
+        expected = [POLICY_ORDER.index(world.policy_of(a)) for a in asns]
+        assert world.policy_codes(asns).tolist() == expected
+        assert view.policy_codes(asns).tolist() == expected
+        assert [view.policy_of(a) for a in asns.tolist()] == [
+            POLICY_ORDER[c] for c in expected
+        ]
+
+    def test_view_rejects_unknown_asns(self, pair):
+        _, view = pair
+        with pytest.raises(KeyError):
+            view.policy_codes(np.array([1]))
+
+    def test_contrib_cones_match_per_asn_cones(self, pair):
+        world, view = pair
+        asns = np.array([999_999, *world.all_asns(), 5], dtype=np.int64)
+        runs = [world.cone_contrib_indices(a) for a in asns.tolist()]
+        for lookup in (world, view):
+            lengths, flat = lookup.contrib_cones(asns)
+            assert lengths.tolist() == [r.size for r in runs]
+            assert flat.tolist() == np.concatenate(runs).tolist()
+            for asn, run in zip(asns.tolist(), runs):
+                assert lookup.cone_contrib_indices(asn).tolist() == \
+                    run.tolist()
+
+    def test_all_cones_match_per_asn_cones(self, pair):
+        world, _ = pair
+        asns = np.array(world.all_asns()[::7], dtype=np.int64)
+        lengths, flat = world.all_cones(asns)
+        runs = [world.cone_all_indices(a) for a in asns.tolist()]
+        assert lengths.tolist() == [r.size for r in runs]
+        assert flat.tolist() == np.concatenate(runs).tolist()
+
+    def test_empty_lookups(self, pair):
+        world, view = pair
+        none = np.empty(0, dtype=np.int64)
+        for lookup in (world, view):
+            lengths, flat = lookup.contrib_cones(none)
+            assert lengths.size == 0 and flat.size == 0
+            assert lookup.policy_codes(none).size == 0
+
+    def test_peer_groups_and_bitsets_match(self, pair):
+        world, view = pair
+        built = OffloadEstimator(world, PeerGroups.build(world))
+        batched = OffloadEstimator(view, PeerGroups.build(view))
+        assert built.groups.candidates == batched.groups.candidates
+        assert built.groups.top_selective == batched.groups.top_selective
+        for group in (1, 2, 3, 4):
+            assert built.groups.group_members(group) == \
+                batched.groups.group_members(group)
+            assert np.array_equal(
+                built.group_matrix(group), batched.group_matrix(group)
+            )
 
 
 class TestBulkGraphAPIs:

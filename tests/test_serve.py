@@ -83,6 +83,45 @@ class TestResolveRequest:
             resolve_request(payload)
 
 
+    @pytest.mark.parametrize("study, config", [
+        ("economics", '{"transit_price": "abc"}'),
+        ("economics", '{"transit_price": NaN}'),
+        ("economics", '{"transit_price": Infinity}'),
+        ("economics", '{"remote_unit": 9.0}'),  # breaks u < v < p
+        ("economics", '{"max_ixps": null}'),
+        ("economics", '{"max_ixps": 20.5}'),
+        ("economics", '{"group": [4]}'),
+        ("economics", '{"group": true}'),
+        ("economics", '{"price_per_mbps": false}'),
+        ("offload", '{"max_ixps": "x"}'),
+        ("offload", '{"max_ixps": true}'),
+        ("offload", '{"groups": [[4]]}'),
+        ("offload", '{"groups": [true]}'),
+        ("offload", '{"groups": ["4"]}'),
+        ("scenario", '{"name": "exclusion-ablation", "workers": "x"}'),
+    ])
+    def test_bad_study_fields_are_configuration_errors(self, study, config):
+        # Raw JSON, as the server parses it: NaN/Infinity become floats.
+        payload = json.loads(
+            '{"study": "%s", "config": %s}' % (study, config)
+        )
+        with pytest.raises(ConfigurationError):
+            resolve_request(payload)
+
+    def test_well_formed_study_fields_resolve(self):
+        _, study, _ = resolve_request({"study": "economics", "config": {
+            "group": 2, "max_ixps": 5, "transit_price": 6, "seeds": [0],
+        }})
+        (variant,) = study.variants
+        assert (variant.group, variant.max_ixps) == (2, 5)
+        assert variant.transit_price == 6.0
+        _, study, _ = resolve_request({"study": "offload", "config": {
+            "groups": [1, 4, 1], "max_ixps": 3, "seeds": [0],
+        }})
+        assert [v.group for v in study.variants] == [1, 4]
+        assert {v.max_ixps for v in study.variants} == {3}
+
+
 class TestResultStore:
     def test_missing_fingerprint_reports_absent(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -167,6 +206,17 @@ class TestHttpApi:
             "study": "detection", "config": {"threshold_ms": ["x"]},
         })
         assert status == 400 and "threshold" in body["error"]
+
+    def test_bad_economics_fields_400(self, base):
+        for config, field in (
+            ({"transit_price": "abc"}, "transit_price"),
+            ({"transit_price": float("nan")}, "transit_price"),
+            ({"group": [4]}, "group"),
+        ):
+            status, body = _call(base, "POST", "/studies", {
+                "study": "economics", "config": {"seeds": [0], **config},
+            })
+            assert status == 400 and field in body["error"], body
 
     def test_submit_poll_results_round_trip(self, base):
         job = _submit_detection(base, seeds=[31, 32])
