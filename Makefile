@@ -43,13 +43,17 @@ lint:
 	fi
 
 # The robustness gate: fault/retry determinism, trial quarantine (incl.
-# the kill-one-worker pool-restart study and its resume), a faulted
-# threshold grid sharing one probe campaign per world, and one small
-# end-to-end failover scenario run.
+# the kill-one-worker pool-restart study and its resume), the same
+# kill on pooled seed batches (only the unfinished chunk is resubmitted),
+# a mid-run cancel of a pooled study and its resume, a faulted threshold
+# grid sharing one probe campaign per world, and one small end-to-end
+# failover scenario run.
 chaos:
 	$(PY) -m pytest -q tests/test_faults.py tests/test_campaign_faults.py \
 		tests/test_engine_quarantine.py tests/test_failover_scenario.py \
-		tests/test_threshold_sharing.py::TestFaultedThresholdGrid
+		tests/test_threshold_sharing.py::TestFaultedThresholdGrid \
+		tests/test_trial_batch.py::TestPooledBatchRestart \
+		tests/test_scheduler.py::TestCancellation::test_mid_run_pickle_pool_cancel_resumes
 	$(PY) -m repro scenarios run failover --preset small --seeds 2 --workers 1
 
 # The mega-scale gate: the ~20k-network smoke world through the study

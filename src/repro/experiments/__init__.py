@@ -17,12 +17,13 @@ package runs those distributions through a single *study engine*:
 
 ``scheduler``
     The execution machinery, split out of ``run_study``:
-    :func:`~repro.experiments.scheduler.execute_study` owns the
-    seed × grid expansion, ``ProcessPoolExecutor`` fan-out, per-variant
-    world caching (trials that share a world configuration reuse one
-    build), resumable sharded execution (skip-completed on rerun),
-    streaming mean ± 95% CI aggregation, thread-safe per-trial deadlines
-    and the ``on_trial`` / ``cancel`` hooks; and
+    :func:`~repro.experiments.scheduler.execute_study` plans the pending
+    trials of the seed × grid expansion into work items (world-key
+    groups that share one build, seed batches, or shm trials) and runs
+    them through one runner — inline, or on one ``ProcessPoolExecutor``
+    with a single restart — with resumable execution (skip-completed on
+    rerun), streaming mean ± 95% CI aggregation, thread-safe per-trial
+    deadlines and the ``on_trial`` / ``cancel`` hooks; and
     :class:`~repro.experiments.scheduler.StudyScheduler` is a resumable
     priority job queue over it (the engine room of ``repro serve`` — see
     the data-flow section below).
@@ -84,12 +85,14 @@ intensity are byte-identical to a fault-free run.  The streams:
 
 The trial-batch data flow (seed groups → one array program)
 -----------------------------------------------------------
-``StudyConfig.trial_batch = k`` (CLI: ``--trial-batch``) turns on the
-batched execution path: after grid expansion and resume filtering, the
-engine chunks the pending trials of **each variant** into groups of up
-to k seeds and hands every multi-trial group to the study's
-``run_batch(specs)`` hook instead of looping ``build → measure`` per
-trial.  The batched studies realize the whole group as one array
+``StudyConfig.trial_batch = k`` (CLI: ``--trial-batch``) changes only
+the plan step of ``execute_study``: after grid expansion and resume
+filtering, the pending trials of **each variant** are chunked into work
+items of up to k seeds instead of world-key groups, and the runner
+hands every multi-trial item to the study's ``run_batch(specs)`` hook
+(through ``_run_batch_group``) instead of looping ``build → measure``
+per trial — inline or on the process pool, exactly like any other
+item.  The batched studies realize the whole group as one array
 program — :func:`repro.sim.offload_batch.build_offload_views` stacks k
 seeds' worlds along one extra leading trial axis over shared
 struct-of-arrays static tables (one per variant, since statics depend
@@ -102,11 +105,13 @@ runs — ``tests/test_trial_batch.py`` pins this for the detection,
 offload and economics studies.  Everything downstream is unchanged:
 results fan into the same JSONL artifacts, resume skips completed
 trials at per-trial granularity (a run killed mid-batch re-executes
-only the unwritten trials), and a group whose ``run_batch`` raises
-(anything but :class:`~repro.errors.ConfigurationError`) or returns the
-wrong number of results falls back to per-trial execution — counted in
-``StudyResult.batch_fallbacks`` and surfaced by ``coverage_note()`` —
-so batching can never lose a trial or change a number.
+only the unwritten trials; a worker killed mid-batch restarts the pool
+once over the chunks not yet recorded), and a chunk whose ``run_batch``
+raises (anything but :class:`~repro.errors.ConfigurationError`) or
+returns the wrong number of results falls back to per-trial execution —
+counted in ``StudyResult.batch_fallbacks`` and surfaced by
+``coverage_note()`` — so batching can never lose a trial or change a
+number.
 
 The shared-memory world transport (build once → attach everywhere)
 -------------------------------------------------------------------
@@ -116,23 +121,25 @@ hooks — ``export_world(world) -> (meta, columns)`` returning plain
 numeric numpy arrays, and ``attach_world(meta, columns) -> world``
 rebuilding a view-backed world.  The lifecycle, end to end:
 
-1. **Build + publish (parent).**  For each world-key group the parent
-   builds the world once (under the trial deadline), exports its
-   columns and packs them into one
+1. **Build + publish (plan step, parent).**  For each world-key group
+   the parent builds the world once — through the same
+   build-under-deadline helper the workers use, so a failed build
+   quarantines the group — exports its columns and packs them into one
    ``multiprocessing.shared_memory`` segment via
    :class:`~repro.experiments.transport.SegmentManager`, created with
-   one reference per trial in the group.
-2. **Dispatch (tiny pickles).**  Each trial ships only a
+   one reference per trial in the group.  Each trial becomes its own
+   work item, so ``workers=0`` sizes the pool by trials, not groups.
+2. **Dispatch (tiny pickles).**  Each item ships only a
    :class:`~repro.experiments.transport.SegmentDescriptor` (segment
    name + per-column dtype/shape/offset) — bytes, not megabytes —
-   through the normal executor channel.
-3. **Attach (worker).**  The worker attaches, drops the duplicate
-   ``resource_tracker`` registration (the parent owns the lifetime),
-   rebuilds read-only numpy views over the shared pages and measures
-   the trial; its ``finally`` closes the mapping.
-4. **Release + unlink (parent).**  As each trial's future completes
-   (success, failure or retry exhaustion) the parent releases one
-   reference; the segment is unlinked at zero.  ``close_all()`` runs
+   through the runner, inline or pooled like every other item.
+3. **Attach (worker).**  ``_run_group`` attaches instead of building,
+   drops the duplicate ``resource_tracker`` registration (the parent
+   owns the lifetime), rebuilds read-only numpy views over the shared
+   pages and measures the trial; its ``finally`` closes the mapping.
+4. **Release + unlink (parent).**  As each item completes (success,
+   failure or retry exhaustion) the runner releases one reference;
+   the segment is unlinked at zero.  ``close_all()`` runs
    in the engine's ``finally`` so quarantined groups, pool restarts,
    and interrupted runs all converge on the same sweep — a killed
    study never leaks ``/dev/shm`` segments.
@@ -140,7 +147,8 @@ rebuilding a view-backed world.  The lifecycle, end to end:
 A world that cannot cross the transport (export raises, or a column
 holds Python objects) falls back to the pickle path for that group —
 counted in ``StudyResult.transport_fallbacks`` and surfaced by
-``coverage_note()``; results are unaffected.  Raw ``SharedMemory``
+``coverage_note()``; results are unaffected.  Its world is then built a
+second time by the worker, and ``world_builds`` counts both builds.  Raw ``SharedMemory``
 construction outside :mod:`repro.experiments.transport` is a lint
 error (``pool-raw-shm``), keeping every segment inside the refcounted
 lifecycle above.
@@ -164,8 +172,8 @@ Failed rows are fingerprint-compatible with success rows and resume-safe
 (a rerun skips them like completed trials).
 :class:`~repro.errors.ConfigurationError` is never quarantined — a
 malformed grid should abort loudly.  A ``BrokenProcessPool`` (a worker
-died mid-group) restarts the executor once over the unfinished groups
-before surfacing.
+died mid-item) restarts the executor once over the work items not yet
+recorded before surfacing.
 
 The serve data flow (HTTP request → job queue → content-addressed store)
 -------------------------------------------------------------------------
@@ -236,7 +244,7 @@ Usage — 16 seeds × three thresholds of the 3-IXP detection world::
             world=DetectionWorldConfig(specs=mini_specs()),
             axes={"campaign.remoteness_threshold_ms": (5.0, 10.0, 20.0)},
         ),
-        workers=0,          # 0 = one process per core (capped at #groups)
+        workers=0,          # 0 = one process per core (capped at #items)
     )
     result = run_ensemble(config)          # builds + probes each world ONCE
     print(render_ensemble_report(result))  # mean ± 95% CI per variant

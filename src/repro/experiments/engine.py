@@ -98,7 +98,8 @@ class StudyConfig:
     """Seed list, parallelism and (optional) artifact directory.
 
     ``workers=1`` runs trials inline in this process (what tests use);
-    ``workers=0`` uses one process per core, capped at the group count.
+    ``workers=0`` uses one process per core, capped at the number of
+    dispatch items.
     With ``out_dir`` set the run is resumable: completed trials are
     appended to ``<out_dir>/<study>_<fingerprint>_trials.jsonl`` as they
     finish, and a rerun with an identical study configuration skips them.
@@ -303,16 +304,18 @@ def _artifact_path(
     return _legacy_artifact_path(study, out_dir)
 
 
-def _artifact_header(path: Path) -> dict[str, Any]:
+def _artifact_header(path: Path, first: str | None = None) -> dict[str, Any]:
     """Parse and validate an artifact's header line.
 
-    Raises :class:`ConfigurationError` for files that are not study
-    artifacts at all (unparseable first line, wrong schema tag) — a
-    foreign file squatting on an artifact name should fail loudly, not
-    be silently shadowed.
+    ``first`` is the line when the caller has already read it; otherwise
+    it is read from ``path``.  Raises :class:`ConfigurationError` for
+    files that are not study artifacts at all (unparseable first line,
+    wrong schema tag) — a foreign file squatting on an artifact name
+    should fail loudly, not be silently shadowed.
     """
-    with path.open("r", encoding="utf-8") as handle:
-        first = handle.readline()
+    if first is None:
+        with path.open("r", encoding="utf-8") as handle:
+            first = handle.readline()
     try:
         header = json.loads(first)
     except json.JSONDecodeError:
@@ -369,16 +372,7 @@ def _load_artifacts(
         first = handle.readline()
         if not first:
             return {}
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError:
-            raise ConfigurationError(f"{path} is not a study artifact file")
-        if header.get("schema") != ARTIFACT_SCHEMA:
-            raise ConfigurationError(
-                f"{path} has schema {header.get('schema')!r}, "
-                f"expected {ARTIFACT_SCHEMA!r}"
-            )
-        if header.get("fingerprint") != fingerprint:
+        if _artifact_header(path, first).get("fingerprint") != fingerprint:
             raise ConfigurationError(
                 f"{path} was written by a different study configuration "
                 "(seeds/variants changed?); use a fresh --out directory"

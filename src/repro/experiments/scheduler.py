@@ -1,20 +1,32 @@
 """The study scheduler: execution machinery + a resumable job queue.
 
-This module holds everything that used to live inside the single
-blocking ``run_study`` call, split into two layers:
+Two layers:
 
 :func:`execute_study`
-    The trial execution core — seed × grid expansion into world-key
-    groups, ``ProcessPoolExecutor`` fan-out, seed-batch realization,
-    zero-copy shared-memory world transport, per-trial deadlines,
-    bounded retry and quarantine — now with two optional hooks:
-    ``on_trial`` (a progress callback fired for every recorded trial,
-    resumed or executed) and ``cancel`` (a :class:`threading.Event`
-    checked between dispatch steps; a set event abandons the remaining
-    work, raises :class:`StudyCancelled`, and still sweeps every
-    shared-memory segment and closes the artifact on the way out).
-    :func:`repro.experiments.engine.run_study` is a thin front end over
-    this function with no hooks attached.
+    The trial execution core, in two steps.  The **plan** turns the
+    pending trials (the seed × grid expansion minus what the artifact
+    already holds) into work items, in trial order: one per world-key
+    group, so the group's trials share one world build; one per
+    same-variant chunk of up to ``trial_batch`` seeds, realized as one
+    array program by the study's ``run_batch``; or, over the
+    shared-memory transport, one per trial, after the parent has built
+    each group's world (under the trial deadline, quarantining the group
+    if the build fails) and published its columns.  The **runner**
+    executes the items inline when there is one worker or one item, and
+    otherwise on one ``ProcessPoolExecutor`` sized by the item count,
+    recording results in completion order and restarting a broken pool
+    once over the items not yet recorded.  Every item reaches one of the
+    two trial bodies, :func:`_run_group` (which builds or attaches the
+    world) and :func:`_run_batch_group` (which falls back to per-trial
+    ``_run_group`` calls), through :func:`_run_item`; both apply the
+    per-trial deadline, bounded retry and quarantine.  Two optional
+    hooks: ``on_trial`` (a progress callback fired for every recorded
+    trial, resumed or executed) and ``cancel`` (a
+    :class:`threading.Event` polled between dispatch steps; a set event
+    abandons the remaining work, raises :class:`StudyCancelled`, and
+    still sweeps every shared-memory segment and closes the artifact on
+    the way out).  :func:`repro.experiments.engine.run_study` is a thin
+    front end over this function with no hooks attached.
 
 :class:`StudyScheduler`
     A long-running priority job queue over ``execute_study`` — the
@@ -174,110 +186,81 @@ def _failure(spec: Any, error: BaseException, attempts: int) -> TrialFailure:
     )
 
 
+def _group_world(
+    specs: list[Any],
+    make: Callable[[], Any],
+    timeout_s: float | None,
+    quarantine: bool,
+) -> tuple[Any, float, list[TrialFailure]]:
+    """``(world, build_s, [])`` from ``make()`` under the trial deadline.
+
+    With quarantine on, a failed build fails every trial of the group:
+    ``(None, 0.0, failures)``.  :class:`ConfigurationError` always
+    propagates — a misconfigured study is a bug, not chaos to absorb.
+    """
+    start = time.perf_counter()
+    try:
+        world = _call_with_deadline(timeout_s, make)
+    except ConfigurationError:
+        raise
+    except (_TrialTimeout, Exception) as error:
+        if not quarantine:
+            raise
+        return None, 0.0, [_failure(spec, error, attempts=1) for spec in specs]
+    return world, time.perf_counter() - start, []
+
+
 def _run_group(
     study: Study,
     specs: list[Any],
     timeout_s: float | None = None,
     retries: int = 0,
     quarantine: bool = True,
+    attach: tuple[Any, Any, float] | None = None,
 ) -> list[Any]:
-    """Build the group's shared world once, then measure every trial.
+    """Build (or ``attach``) the group's world once, then measure each trial.
 
-    One poison trial must not lose the group: each trial is retried up
-    to ``retries`` times under the per-trial deadline and then, with
-    quarantine on, recorded as a :class:`TrialFailure` while the rest of
-    the group keeps running.  :class:`ConfigurationError` always
-    propagates — a misconfigured study is a programmer error, not chaos
-    to absorb.  A failed world build fails every trial of the group (there
-    is nothing to measure against).
-    """
-    start = time.perf_counter()
-    try:
-        world = _call_with_deadline(timeout_s, lambda: study.build(specs[0]))
-    except ConfigurationError:
-        raise
-    except (_TrialTimeout, Exception) as error:
-        if not quarantine:
-            raise
-        return [_failure(spec, error, attempts=1) for spec in specs]
-    build_s = time.perf_counter() - start
-    return _measure_specs(study, specs, world, build_s,
-                          timeout_s, retries, quarantine)
-
-
-def _measure_specs(
-    study: Study,
-    specs: list[Any],
-    world: Any,
-    build_s: float,
-    timeout_s: float | None,
-    retries: int,
-    quarantine: bool,
-) -> list[Any]:
-    """The per-trial measure loop shared by every dispatch path."""
-    results: list[Any] = []
-    for spec in specs:
-        last_error: BaseException | None = None
-        for attempt in range(1 + retries):
-            try:
-                results.append(_call_with_deadline(
-                    timeout_s, lambda: study.measure(spec, world, build_s)
-                ))
-                last_error = None
-                break
-            except ConfigurationError:
-                raise
-            except (_TrialTimeout, Exception) as error:
-                if not quarantine:
-                    raise
-                last_error = error
-        if last_error is not None:
-            results.append(_failure(spec, last_error, attempts=1 + retries))
-    return results
-
-
-def _run_group_attached(
-    study: Study,
-    specs: list[Any],
-    descriptor: "transport.SegmentDescriptor",
-    meta: Any,
-    build_s: float,
-    timeout_s: float | None = None,
-    retries: int = 0,
-    quarantine: bool = True,
-) -> list[Any]:
-    """Worker half of the shared-memory transport.
-
-    The parent already built the world and published its array columns;
-    this attaches zero-copy views, rebuilds the world around them
-    (``study.attach_world``), and runs the standard measure loop.  The
-    attachment is closed on the way out — segment *ownership* stays with
-    the parent, which releases its reference when the group's future
-    completes.
+    ``attach`` is ``(descriptor, meta, build_s)`` of a world the parent
+    published to shared memory.  Each trial is retried up to ``retries``
+    times under the deadline, then quarantined as a :class:`TrialFailure`
+    so that one poison trial never loses its group.
     """
     box: dict[str, Any] = {}
 
     def _attach() -> Any:
-        box["attached"] = attached = transport.attach_columns(descriptor)
-        return study.attach_world(meta, attached.arrays)  # type: ignore[attr-defined]
+        descriptor, meta, _ = attach  # type: ignore[misc]
+        box["mapping"] = mapping = transport.attach_columns(descriptor)
+        return study.attach_world(meta, mapping.arrays)  # type: ignore[attr-defined]
 
     try:
-        world = _call_with_deadline(timeout_s, _attach)
-    except ConfigurationError:
-        raise
-    except (_TrialTimeout, Exception) as error:
-        attached = box.get("attached")
-        if attached is not None:
-            attached.close()
-        if not quarantine:
-            raise
-        return [_failure(spec, error, attempts=1) for spec in specs]
-    try:
-        return _measure_specs(study, specs, world, build_s,
-                              timeout_s, retries, quarantine)
+        world, build_s, failed = _group_world(
+            specs, _attach if attach else lambda: study.build(specs[0]),
+            timeout_s, quarantine,
+        )
+        if failed:
+            return failed
+        build_s = attach[2] if attach else build_s
+        results: list[Any] = []
+        for spec in specs:
+            for _ in range(1 + retries):
+                try:
+                    results.append(_call_with_deadline(
+                        timeout_s, lambda: study.measure(spec, world, build_s)
+                    ))
+                    break
+                except ConfigurationError:
+                    raise
+                except (_TrialTimeout, Exception) as error:
+                    if not quarantine:
+                        raise
+                    last_error = error
+            else:
+                results.append(_failure(spec, last_error, attempts=1 + retries))
+        return results
     finally:
-        world = None
-        box["attached"].close()
+        world = None  # drop the views before unmapping them
+        if "mapping" in box:
+            box["mapping"].close()
 
 
 def _run_batch_group(
@@ -287,15 +270,12 @@ def _run_batch_group(
     retries: int = 0,
     quarantine: bool = True,
 ) -> tuple[list[Any], int]:
-    """Realize one same-variant seed chunk via the study's batched engine.
+    """Realize one same-variant seed chunk via the study's ``run_batch``.
 
-    Returns ``(results, fallback_count)``.  The batched call covers the
-    whole chunk under a single deadline; any failure (or a result-count
-    mismatch, which would mis-assign trials) abandons the batch and
-    re-runs every trial through :func:`_run_group`, whose timeout / retry
-    / quarantine semantics are then applied per trial exactly as in an
-    unbatched study.  :class:`ConfigurationError` propagates immediately —
-    a misconfigured study must not be retried into quarantine.
+    Returns ``(results, fallback_count)``.  A failed batch call (or a
+    result-count mismatch, which would mis-assign trials) re-runs every
+    trial through :func:`_run_group`, with its per-trial deadline, retry
+    and quarantine.  :class:`ConfigurationError` propagates.
     """
     if len(specs) > 1:
         try:
@@ -309,11 +289,35 @@ def _run_batch_group(
             raise
         except (_TrialTimeout, Exception):
             pass
-    fallbacks = len(specs) if len(specs) > 1 else 0
     results = []
     for spec in specs:
         results.extend(_run_group(study, [spec], timeout_s, retries, quarantine))
-    return results, fallbacks
+    return results, len(specs) if len(specs) > 1 else 0
+
+
+@dataclass(frozen=True, slots=True)
+class _WorkItem:
+    """The specs of one worker call; ``attach`` is shm attach info whose
+    segment is released when the item completes."""
+
+    specs: list[Any]
+    batched: bool = False
+    attach: tuple[Any, Any, float] | None = None
+
+
+def _run_item(
+    study: Study, item: _WorkItem, config: StudyConfig
+) -> tuple[list[Any], int]:
+    """``(results, batch fallbacks)`` of one work item, inline or pooled.
+
+    The trial bodies are looked up as module globals on every call, so
+    wrappers installed around them by name (the benchmark's trial-body
+    spans) see every item.
+    """
+    args = (config.trial_timeout_s, config.trial_retries, config.quarantine)
+    if item.batched:
+        return _run_batch_group(study, item.specs, *args)
+    return _run_group(study, item.specs, *args, attach=item.attach), 0
 
 
 def execute_study(
@@ -325,16 +329,13 @@ def execute_study(
 ) -> StudyResult:
     """Run every not-yet-completed trial of ``study`` under ``config``.
 
-    Results come back in trial order regardless of completion order, so
-    studies are reproducible artifacts: same configuration, same report.
-
+    Results come back in trial order regardless of completion order.
     ``on_trial(result, done, total)`` fires once per recorded trial —
     resumed trials first (in trial order), then executed ones as they
-    complete.  ``cancel`` is polled between dispatch steps: once set, no
-    further group is started, still-queued pool futures are cancelled,
-    and :class:`StudyCancelled` is raised *after* the artifact writer is
-    closed and every shared-memory segment is swept — completed trials
-    stay on disk, so a cancelled study resumes where it stopped.
+    complete.  ``cancel`` is polled between dispatch steps; once set,
+    still-queued pool futures are cancelled and :class:`StudyCancelled`
+    is raised after the artifact is closed and every shared-memory
+    segment swept, so a cancelled study resumes where it stopped.
     """
     t0 = time.perf_counter()
     specs = expand_trials(study, config.seeds)
@@ -350,50 +351,7 @@ def execute_study(
             trial_count=total,
         )
     resumed = len(completed)
-
-    def _cancelled() -> bool:
-        return cancel is not None and cancel.is_set()
-
-    # Group the remaining trials for execution.  Default: by world key,
-    # preserving trial order within and across groups, so every trial in
-    # a group reuses one build.  Batched mode (``trial_batch > 1`` on a
-    # study with a ``run_batch`` hook): same-variant trials are chunked
-    # into seed batches instead — each chunk is realized as one array
-    # program with a leading trial axis, and every seed builds its own
-    # (lightweight) world, so the world cache does not apply.
-    use_batches = (
-        config.trial_batch > 1
-        and getattr(study, "run_batch", None) is not None
-    )
-    # Shared-memory transport: world-key groups are built once in the
-    # parent and fan out per trial; studies without the export/attach
-    # hooks keep the pickle path.  Mutually exclusive with seed batching
-    # (batched seeds each realize their own lightweight world).
-    use_shm = (
-        config.transport == "shm"
-        and not use_batches
-        and getattr(study, "export_world", None) is not None
-        and getattr(study, "attach_world", None) is not None
-    )
-    if use_batches:
-        by_variant: dict[str, list[Any]] = {}
-        for spec in specs:
-            if spec.trial_id in completed:
-                continue
-            by_variant.setdefault(spec.variant, []).append(spec)
-        group_list = [
-            chunk[i:i + config.trial_batch]
-            for chunk in by_variant.values()
-            for i in range(0, len(chunk), config.trial_batch)
-        ]
-    else:
-        groups: dict[Hashable, list[Any]] = {}
-        for spec in specs:
-            if spec.trial_id in completed:
-                continue
-            groups.setdefault(study.world_key(spec), []).append(spec)
-        group_list = list(groups.values())
-
+    pending = [spec for spec in specs if spec.trial_id not in completed]
     streams: dict[str, dict[str, StreamingMeanCI]] = {}
 
     def absorb(result: Any) -> None:
@@ -410,233 +368,131 @@ def execute_study(
         if on_trial is not None:
             on_trial(result, len(completed), total)
 
-    for trial_id in sorted(completed):
+    for done, trial_id in enumerate(sorted(completed), 1):
         absorb(completed[trial_id])
-    if on_trial is not None:
-        done_so_far = 0
-        for trial_id in sorted(completed):
-            done_so_far += 1
-            on_trial(completed[trial_id], done_so_far, total)
+        if on_trial is not None:
+            on_trial(completed[trial_id], done, total)
 
-    group_args = (config.trial_timeout_s, config.trial_retries,
-                  config.quarantine)
-    run_one = _run_batch_group if use_batches else _run_group
-    pool_restarts = 0
-    batch_fallbacks = 0
-    transport_fallbacks = 0
+    use_batches = (
+        config.trial_batch > 1
+        and getattr(study, "run_batch", None) is not None
+    )
+    manager = transport.SegmentManager() if (
+        config.transport == "shm"
+        and not use_batches
+        and getattr(study, "export_world", None) is not None
+        and getattr(study, "attach_world", None) is not None
+    ) else None
+    worlds = rebuilds = 0
+    pool_restarts = batch_fallbacks = transport_fallbacks = 0
 
-    def consume(payload: Any) -> None:
-        nonlocal batch_fallbacks
+    def halt_if_cancelled(futures: Any = ()) -> None:
+        if cancel is not None and cancel.is_set():
+            for future in futures:  # the ones the pool has not started
+                future.cancel()
+            raise StudyCancelled(
+                f"study {study.name!r} cancelled with "
+                f"{len(completed)}/{total} trials recorded"
+            )
+
+    def plan() -> list[_WorkItem]:  # see the module docstring
+        nonlocal worlds, rebuilds, transport_fallbacks
+        groups: dict[Hashable, list[Any]] = {}
+        for spec in pending:
+            key = spec.variant if use_batches else study.world_key(spec)
+            groups.setdefault(key, []).append(spec)
         if use_batches:
-            results, fell_back = payload
-            batch_fallbacks += fell_back
-        else:
-            results = payload
+            worlds, k = len(pending), config.trial_batch
+            return [_WorkItem(group[i:i + k], batched=True)
+                    for group in groups.values()
+                    for i in range(0, len(group), k)]
+        worlds = len(groups)
+        if manager is None:
+            return [_WorkItem(group) for group in groups.values()]
+        items: list[_WorkItem] = []
+        for group in groups.values():
+            halt_if_cancelled()
+            world, build_s, failed = _group_world(
+                group, lambda: study.build(group[0]),
+                config.trial_timeout_s, config.quarantine,
+            )
+            for failure in failed:
+                record(failure)
+            if failed:
+                continue
+            try:
+                meta, columns = study.export_world(world)  # type: ignore[attr-defined]
+                descriptor = manager.create(columns, refs=len(group))
+            except ConfigurationError:
+                raise
+            except Exception:  # pickle path: the worker builds it again
+                transport_fallbacks += len(group)
+                rebuilds += 1
+                items.append(_WorkItem(group))
+                continue
+            items.extend(_WorkItem([spec], attach=(descriptor, meta, build_s))
+                         for spec in group)
+        return items
+
+    def finish(item: _WorkItem, results: list[Any], fell_back: int) -> None:
+        nonlocal batch_fallbacks
+        batch_fallbacks += fell_back
         for result in results:
             record(result)
+        if item.attach is not None:
+            manager.release(item.attach[0].segment)
 
-    def drain(future_segment: dict[Any, str | None]) -> None:
-        """Consume pool futures as they complete, honoring cancellation.
-
-        With no cancel event the wait blocks until the next completion
-        (the historical ``as_completed`` behavior); with one, the wait
-        wakes every 0.2 s to poll it, cancels whatever the pool has not
-        started, and raises :class:`StudyCancelled`.  Releasing a
-        completed future's shm segment here keeps refcounts exact on
-        both the success and the cancellation path — abandoned segments
-        are swept by ``close_all`` in the caller's ``finally``.
-        """
-        pending = set(future_segment)
-        while pending:
-            if _cancelled():
-                for future in pending:
-                    future.cancel()
-                raise StudyCancelled(
-                    f"study {study.name!r} cancelled with "
-                    f"{len(completed)}/{total} trials recorded"
-                )
-            done, pending = wait(
-                pending,
-                timeout=0.2 if cancel is not None else None,
-                return_when=FIRST_COMPLETED,
-            )
-            for future in done:
-                consume(future.result())
-                segment = future_segment[future]
-                if segment is not None and manager is not None:
-                    manager.release(segment)
+    def run(items: list[_WorkItem]) -> None:
+        nonlocal pool_restarts
+        workers = config.workers or min(os.cpu_count() or 1, len(items))
+        if workers <= 1 or len(items) <= 1:
+            for item in items:
+                halt_if_cancelled()
+                finish(item, *_run_item(study, item, config))
+            return
+        # A crashed worker (OOM kill, segfault, os._exit) breaks the whole
+        # pool; one restart resubmits the items not yet recorded.  Results
+        # are recorded in completion order, so a slow head-of-line item
+        # cannot hold the others' trials hostage to a mid-run kill.
+        for attempt in (0, 1):
+            try:
+                with ProcessPoolExecutor(min(workers, len(items))) as pool:
+                    futures = {pool.submit(_run_item, study, item, config):
+                               item for item in items}
+                    waiting = set(futures)
+                    while waiting:
+                        halt_if_cancelled(waiting)
+                        done, waiting = wait(waiting, 0.2, FIRST_COMPLETED)
+                        for future in done:
+                            finish(futures[future], *future.result())
+                return
+            except BrokenProcessPool:
+                items = [
+                    replace(item, specs=left) for item in items
+                    if (left := [s for s in item.specs
+                                 if s.trial_id not in completed])
+                ]
+                if attempt == 1 or not items:
+                    raise
+                pool_restarts += 1
 
     writer = _ArtifactWriter(study, config.out_dir, fingerprint)
-    manager: transport.SegmentManager | None = None
     try:
-        if _cancelled():
-            raise StudyCancelled(
-                f"study {study.name!r} cancelled before dispatch"
-            )
-        workers = config.workers or min(
-            os.cpu_count() or 1, max(len(group_list), 1)
-        )
-        if use_shm:
-            # Parent-side builds: one world per world-key group, columns
-            # published through a refcounted segment, one dispatch item
-            # per trial so the pool stays saturated.  ``None`` attach
-            # info marks a pickle fallback for that whole group.
-            manager = transport.SegmentManager()
-            shm_items: list[tuple[list[Any], tuple[Any, ...] | None]] = []
-            for group in group_list:
-                if _cancelled():
-                    raise StudyCancelled(
-                        f"study {study.name!r} cancelled while building "
-                        f"world-key groups ({len(completed)}/{total} "
-                        "trials recorded)"
-                    )
-                start = time.perf_counter()
-                try:
-                    world = _call_with_deadline(
-                        config.trial_timeout_s,
-                        lambda: study.build(group[0]),
-                    )
-                except ConfigurationError:
-                    raise
-                except (_TrialTimeout, Exception) as error:
-                    if not config.quarantine:
-                        raise
-                    for spec in group:
-                        record(_failure(spec, error, attempts=1))
-                    continue
-                build_s = time.perf_counter() - start
-                try:
-                    meta, columns = study.export_world(world)  # type: ignore[attr-defined]
-                    descriptor = manager.create(columns, refs=len(group))
-                except ConfigurationError:
-                    raise
-                except Exception:
-                    transport_fallbacks += len(group)
-                    shm_items.append((group, None))
-                    continue
-                for spec in group:
-                    shm_items.append(([spec], (descriptor, meta, build_s)))
-            pending_items = shm_items
-            if workers <= 1 or len(pending_items) <= 1:
-                for item_specs, attach in pending_items:
-                    if _cancelled():
-                        raise StudyCancelled(
-                            f"study {study.name!r} cancelled with "
-                            f"{len(completed)}/{total} trials recorded"
-                        )
-                    if attach is None:
-                        consume(_run_group(study, item_specs, *group_args))
-                        continue
-                    descriptor, meta, build_s = attach
-                    consume(_run_group_attached(
-                        study, item_specs, descriptor, meta, build_s,
-                        *group_args,
-                    ))
-                    manager.release(descriptor.segment)
-            else:
-                for attempt in (0, 1):
-                    try:
-                        with ProcessPoolExecutor(
-                            max_workers=min(workers, len(pending_items))
-                        ) as pool:
-                            future_segment: dict[Any, str | None] = {}
-                            for item_specs, attach in pending_items:
-                                if attach is None:
-                                    future = pool.submit(
-                                        _run_group, study, item_specs,
-                                        *group_args)
-                                    future_segment[future] = None
-                                    continue
-                                descriptor, meta, build_s = attach
-                                future = pool.submit(
-                                    _run_group_attached, study, item_specs,
-                                    descriptor, meta, build_s, *group_args)
-                                future_segment[future] = descriptor.segment
-                            drain(future_segment)
-                        break
-                    except BrokenProcessPool:
-                        pending_items = [
-                            ([s for s in item_specs
-                              if s.trial_id not in completed], attach)
-                            for item_specs, attach in pending_items
-                        ]
-                        pending_items = [
-                            (item_specs, attach)
-                            for item_specs, attach in pending_items
-                            if item_specs
-                        ]
-                        if attempt == 1 or not pending_items:
-                            raise
-                        pool_restarts += 1
-        elif workers <= 1 or len(group_list) <= 1:
-            for group in group_list:
-                if _cancelled():
-                    raise StudyCancelled(
-                        f"study {study.name!r} cancelled with "
-                        f"{len(completed)}/{total} trials recorded"
-                    )
-                consume(run_one(study, group, *group_args))
-        else:
-            # A crashed worker (OOM kill, segfault, os._exit) breaks the
-            # whole pool; one restart resubmits the not-yet-completed
-            # groups before the failure is allowed to surface.
-            pending = group_list
-            for attempt in (0, 1):
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=min(workers, len(pending))
-                    ) as pool:
-                        # Distinct submit sites (not one via an alias) so
-                        # the pool-submit-module-fn lint can statically
-                        # see a module-level worker at each.
-                        if use_batches:
-                            futures = [
-                                pool.submit(_run_batch_group, study,
-                                            group, *group_args)
-                                for group in pending
-                            ]
-                        else:
-                            futures = [
-                                pool.submit(_run_group, study,
-                                            group, *group_args)
-                                for group in pending
-                            ]
-                        # Drain in completion order so finished groups land
-                        # in the resume artifact immediately — a slow
-                        # head-of-line group must not hold every other
-                        # group's trials hostage to a mid-run kill.  Trial
-                        # order is restored at the end.
-                        drain({future: None for future in futures})
-                    break
-                except BrokenProcessPool:
-                    pending = [
-                        [s for s in group if s.trial_id not in completed]
-                        for group in pending
-                    ]
-                    pending = [group for group in pending if group]
-                    if attempt == 1 or not pending:
-                        raise
-                    pool_restarts += 1
+        halt_if_cancelled()
+        run(plan())
     finally:
         writer.close()
         if manager is not None:
-            # Belt and braces: every exit path (success, quarantine,
-            # cancellation, BrokenProcessPool, KeyboardInterrupt) unlinks
-            # whatever segments the refcounts have not already released.
-            manager.close_all()
+            manager.close_all()  # whatever the refcounts left, on any exit
 
-    executed = sum(len(group) for group in group_list)
-    # In batched mode every seed realizes its own (lightweight) world, so
-    # there is no cross-trial build sharing to account for.
-    world_builds = executed if use_batches else len(group_list)
     ordered = [completed[i] for i in range(total)]
     return StudyResult(
         study=study.name,
         config=config,
         trials=[r for r in ordered if not isinstance(r, TrialFailure)],
         wall_s=time.perf_counter() - t0,
-        world_builds=world_builds,
-        world_reuses=executed - world_builds,
+        world_builds=worlds + rebuilds,
+        world_reuses=len(pending) - worlds,
         resumed=resumed,
         streaming={
             variant: {m: s.snapshot() for m, s in metrics.items()}

@@ -11,6 +11,7 @@ thread, where the historical SIGALRM deadline silently disabled itself.
 from __future__ import annotations
 
 import os
+import re
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -338,6 +339,43 @@ class TestCancellation:
         )
         assert partial.resumed == job.trials_done
         assert len(partial.trials) == 8
+
+
+    @pytest.mark.slow
+    def test_mid_run_pickle_pool_cancel_resumes(self, tmp_path):
+        """Cancel a pooled world-key-group study mid-flight: the job ends
+        CANCELLED with the one cancellation message, the completed rows
+        stay on disk, and a rerun resumes exactly those rows."""
+        scheduler = StudyScheduler(str(tmp_path), threads=1, journal=False)
+        scheduler.start()
+        try:
+            job = scheduler.submit(
+                study=SleepyStudy(sleep_s=0.4),
+                config=StudyConfig(seeds=tuple(range(8)), workers=2),
+            )
+            deadline = time.monotonic() + 30.0
+            while job.trials_done == 0 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            scheduler.cancel(job.job_id)
+            _await(job)
+        finally:
+            scheduler.shutdown()
+        assert job.state is JobState.CANCELLED
+        assert re.fullmatch(
+            r"study 'sleepy' cancelled with \d/8 trials recorded",
+            job.error or "",
+        )
+        assert 0 < job.trials_done < 8
+        path = _artifact_path(SleepyStudy(), str(scheduler.store_dir),
+                              job.fingerprint)
+        assert len(path.read_text().splitlines()) == 1 + job.trials_done
+        resumed = run_study(
+            SleepyStudy(),
+            StudyConfig(seeds=tuple(range(8)), workers=1,
+                        out_dir=str(scheduler.store_dir)),
+        )
+        assert resumed.resumed == job.trials_done
+        assert [t.seed for t in resumed.trials] == list(range(8))
 
 
 class TestRecovery:

@@ -232,6 +232,24 @@ class TestResume:
             run_study(study, StudyConfig(seeds=(1,), workers=1,
                                          out_dir=str(tmp_path)))
 
+    @pytest.mark.parametrize("header, message", [
+        ("not json", "is not a study artifact file"),
+        ("[1, 2]", "has schema None"),
+        ('{"schema": "other/1"}', "has schema 'other/1'"),
+    ])
+    def test_foreign_header_on_the_resume_path_rejected(
+        self, tmp_path, header, message
+    ):
+        # The content-addressed artifact is read by the resume loader,
+        # which validates its header exactly like the legacy probe.
+        study = ToyStudy()
+        path = _artifact_path(study, str(tmp_path),
+                              study_fingerprint(study, (1,)))
+        path.write_text(header + "\n")
+        with pytest.raises(ConfigurationError, match=message):
+            run_study(study, StudyConfig(seeds=(1,), workers=1,
+                                         out_dir=str(tmp_path)))
+
 
 class TestDetectionOnEngine:
     """The ported detection study: same numbers through every front end."""

@@ -10,6 +10,7 @@ a single segment in ``/dev/shm``).
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -132,7 +133,10 @@ class _Result:
 @dataclass(frozen=True, slots=True)
 class ExportBombStudy:
     """A study whose ``export_world`` always raises: every trial must
-    fall back to the pickle path, counted, with results unaffected."""
+    fall back to the pickle path, counted, with results unaffected.
+    ``build_log`` (a file path) gets one line per ``build`` call."""
+
+    build_log: str = ""
 
     name = "exportbomb"
 
@@ -146,6 +150,9 @@ class ExportBombStudy:
         return spec.seed
 
     def build(self, spec):
+        if self.build_log:
+            with open(self.build_log, "a") as fh:
+                fh.write(f"{spec.seed}\n")
         return {"seed": spec.seed}
 
     def export_world(self, world):
@@ -219,6 +226,48 @@ class ShmKillerStudy:
         return _Result(**payload)
 
 
+@dataclass(frozen=True, slots=True)
+class PidShmStudy:
+    """Four variants sharing one world per seed; each trial sleeps briefly
+    and reports the pid of the process that measured it."""
+
+    name = "pidshm"
+
+    def variant_names(self):
+        return ("a", "b", "c", "d")
+
+    def resolve(self, variant, seed, trial_id):
+        return _Spec(trial_id=trial_id, variant=variant, seed=seed)
+
+    def world_key(self, spec):
+        return spec.seed
+
+    def build(self, spec):
+        return {"seed": spec.seed, "values": np.full(8, float(spec.seed))}
+
+    def export_world(self, world):
+        return world["seed"], {"values": world["values"]}
+
+    def attach_world(self, meta, columns):
+        return {"seed": meta, "values": columns["values"]}
+
+    def measure(self, spec, world, build_s):
+        time.sleep(0.2)
+        return _Result(
+            trial_id=spec.trial_id, variant=spec.variant, seed=spec.seed,
+            value=float(os.getpid()),
+        )
+
+    def metrics(self, result):
+        return {"value": result.value}
+
+    def encode(self, result):
+        return asdict(result)
+
+    def decode(self, payload):
+        return _Result(**payload)
+
+
 def tiny_mega_study() -> MegaStudy:
     return MegaStudy(
         variants=(
@@ -254,17 +303,42 @@ class TestStudyTransport:
             assert shm_trial.five_ixp_share == pickle_trial.five_ixp_share
         assert not (shm_snapshot() - before), "leaked shared-memory segment"
 
-    def test_export_failure_falls_back_and_is_counted(self):
+    def test_export_failure_falls_back_and_is_counted(self, tmp_path):
         before = shm_snapshot()
+        log = tmp_path / "builds"
         result = run_study(
-            ExportBombStudy(),
+            ExportBombStudy(build_log=str(log)),
             StudyConfig(seeds=(1, 2, 3), workers=1, transport="shm"),
         )
         assert result.transport_fallbacks == 3
+        # Each world is built in the parent, fails to export, and is
+        # built again on the pickle path: world_builds counts both.
+        assert sorted(log.read_text().split()) == ["1", "1", "2", "2", "3", "3"]
+        assert result.world_builds == 6
+        assert result.world_reuses == 0
         assert not result.failures
         assert [t.value for t in result.trials] == [1.0, 2.0, 3.0]
         note = result.coverage_note()
         assert note is not None and "fell back" in note
+        assert not (shm_snapshot() - before), "leaked shared-memory segment"
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="auto workers need two cores to fan out")
+    def test_auto_workers_fan_shared_world_trials_out(self):
+        """``workers=0`` is capped by dispatch items, not world-key groups:
+        four variants sharing one world are four shm items, so the
+        trials run in pool workers, not inline in the parent."""
+        before = shm_snapshot()
+        result = run_study(
+            PidShmStudy(),
+            StudyConfig(seeds=(0,), workers=0, transport="shm"),
+        )
+        pids = {int(trial.value) for trial in result.trials}
+        assert len(result.trials) == 4
+        assert os.getpid() not in pids
+        assert len(pids) >= 2
+        assert result.transport_fallbacks == 0
+        assert (result.world_builds, result.world_reuses) == (1, 3)
         assert not (shm_snapshot() - before), "leaked shared-memory segment"
 
     def test_killed_worker_leaks_no_segments(self, tmp_path):

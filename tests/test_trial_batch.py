@@ -13,8 +13,12 @@ mid-batch resume behaviour, and the per-trial fallback accounting.
 from __future__ import annotations
 
 import json
+import os
 import tempfile
+import time
+from collections import Counter
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +264,68 @@ class TestBatchFallbackAccounting:
         )
         assert result.batch_fallbacks == 0
         assert result.coverage_note() is None
+
+
+def _artifact_rows(out_dir: str, study_name: str) -> int:
+    """Complete trial rows written so far to a study's artifact."""
+    return sum(
+        path.read_text().count("\n") - 1
+        for path in Path(out_dir).glob(f"{study_name}_*_trials.jsonl")
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class BatchKillerStudy(BatchToyStudy):
+    """A batchable toy whose last seed chunk hard-kills its worker once.
+
+    Every ``run_batch`` call appends its chunk to ``<marker_dir>/chunks``.
+    Before dying, the poisoned chunk (``b:4-7``) waits until the rows of
+    every other chunk are in the artifact (written under ``marker_dir``),
+    so the kill leaves exactly one chunk unrecorded.
+    """
+
+    marker_dir: str = ""
+
+    name = "batchkiller"
+
+    def run_batch(self, specs):
+        chunk = f"{specs[0].variant}:{specs[0].seed}-{specs[-1].seed}"
+        with open(os.path.join(self.marker_dir, "chunks"), "a") as fh:
+            fh.write(chunk + "\n")
+        marker = os.path.join(self.marker_dir, "killed")
+        if chunk == "b:4-7" and not os.path.exists(marker):
+            deadline = time.monotonic() + 30.0
+            while (_artifact_rows(self.marker_dir, self.name) < 12
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            with open(marker, "w") as fh:
+                fh.write("1")
+            os._exit(1)  # simulate an OOM-killed worker, no traceback
+        return BatchToyStudy.run_batch(self, specs)
+
+
+@pytest.mark.slow
+class TestPooledBatchRestart:
+    def test_killed_worker_resubmits_only_unfinished_chunks(self, tmp_path):
+        study = BatchKillerStudy(marker_dir=str(tmp_path))
+        config = StudyConfig(seeds=tuple(range(8)), workers=2,
+                             trial_batch=4, out_dir=str(tmp_path))
+        result = run_study(study, config)
+        assert result.pool_restarts == 1
+        assert result.failures == []
+        assert result.batch_fallbacks == 0
+        # Only the killed chunk ran twice; the three chunks recorded
+        # before the kill were not resubmitted.
+        runs = Counter((tmp_path / "chunks").read_text().split())
+        assert runs == {"a:0-3": 1, "a:4-7": 1, "b:0-3": 1, "b:4-7": 2}
+        inline = run_study(BatchToyStudy(),
+                           StudyConfig(seeds=tuple(range(8)), workers=1))
+        assert [asdict(t) for t in result.trials] == [
+            asdict(t) for t in inline.trials
+        ]
+        # Every trial is on disk exactly once: a rerun resumes them all.
+        assert _artifact_rows(str(tmp_path), study.name) == 16
+        assert run_study(study, config).resumed == 16
 
 
 if HAVE_HYPOTHESIS:
